@@ -13,7 +13,7 @@ Submodules:
 * ``cli``        the ``randomsurfaces`` command line tool
 """
 
-from . import analysis, cli, gibbs, heights, lattice, potential, sampler
+from . import analysis, gibbs, heights, lattice, potential, sampler
 from .heights import (
     ExtensionSet,
     HeightFunction,
@@ -52,3 +52,13 @@ __all__ = [
     "annealed_expectation",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so ``python -m randomsurfaces.cli`` does
+    # not find the module already imported by the package
+    if name == "cli":
+        from importlib import import_module
+
+        return import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,8 +41,8 @@ from .lattice import (
     Region,
     Vertex,
     boundary,
-    distance_map,
     make_box,
+    multi_source_distances,
 )
 from .potential import PotentialModel, sample_potential
 from .sampler import BoxGlauber
@@ -589,14 +589,8 @@ class ConcentrationReport:
 
 def _max_walk_length(region: Region) -> int:
     """max over v of (graph distance to the boundary ring + 1)."""
-    ring = boundary(region)
-    best = {}
-    for b in ring:
-        dm = distance_map(region, b)
-        for v, d in dm.items():
-            if v not in best or d < best[v]:
-                best[v] = d
-    return max(best.values()) + 1
+    ring = dict.fromkeys(boundary(region), 0)
+    return int(multi_source_distances(region, ring).max()) + 1
 
 
 def _check_hypotheses(region: Region, n: int, A: float) -> tuple[int, int]:
@@ -696,7 +690,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
     for n in config.ns:
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, config.boundary, config.direction)
-        _check_hypotheses(region, n, config.A)
+        diam, max_l = _check_hypotheses(region, n, config.A)
         window = required_window(region, pinned)
 
         if config.mode == "exact":
@@ -720,8 +714,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
             )
             summaries.append(
                 SizeSummary(
-                    n, len(region), region.l1_diameter(),
-                    _max_walk_length(region), window, 0, 0.0, dev_q,
+                    n, len(region), diam, max_l, window, 0, 0.0, dev_q,
                 )
             )
             continue
@@ -754,8 +747,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
         dev_q = tuple((q, float(np.quantile(devs, q))) for q in qs)
         summaries.append(
             SizeSummary(
-                n, len(region), region.l1_diameter(),
-                _max_walk_length(region), window,
+                n, len(region), diam, max_l, window,
                 config.tail_samples, stderr_max, dev_q,
             )
         )

@@ -171,7 +171,11 @@ def required_window(
     Heights of extensions live in [lo, hi] (see ``height_window``), so
     edges feel indices lo..hi-1.
     """
-    lo, hi = height_window(region, pinned)
+    return _edge_window(*height_window(region, pinned))
+
+
+def _edge_window(lo: int, hi: int) -> tuple[int, int]:
+    """Edge indices lo..hi-1 felt by heights in [lo, hi]."""
     if hi == lo:  # single isolated value; no edge can occur in a region
         return (lo, lo)
     return (lo, hi - 1)

@@ -11,7 +11,6 @@ by more than the within-region graph distance.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
@@ -24,6 +23,7 @@ from .lattice import (
     _check_vertex,
     distance_map,
     induced_edges,
+    multi_source_distances,
 )
 
 __all__ = [
@@ -193,73 +193,59 @@ def _pinned_map(region: Region, pinned: Mapping[Vertex, int]) -> dict[Vertex, in
     return vals
 
 
+def _envelopes(
+    region: Region, vals: dict[Vertex, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise greatest lower / least upper height bounds from pinned data.
+
+    low(v) = max_x (h(x) - d_R(x, v)),  high(v) = min_x (h(x) + d_R(x, v)).
+    One offset BFS each: high with the pinned values as offsets, low with
+    their negatives, negated back.
+    """
+    high = multi_source_distances(region, vals)
+    low = -multi_source_distances(region, {v: -z for v, z in vals.items()})
+    return low, high
+
+
+def _first_violation(
+    region: Region, vals: dict[Vertex, int], low: np.ndarray, high: np.ndarray
+) -> tuple[Vertex, Vertex, int, int] | None:
+    """The first pinned pair in sorted (x, y) order with a gap over d_R(x, y).
+
+    A pinned x belongs to some violating pair exactly when its own value
+    leaves its envelopes: high(x) < h(x) when some y lies more than
+    d_R(x, y) below it, low(x) > h(x) when some y lies above.  So x is
+    read off the envelopes, and one single-source BFS from x names y.
+    """
+    vs = sorted(vals)
+    for x in vs:
+        i = region.position(x)
+        if high[i] < vals[x] or low[i] > vals[x]:
+            dist = distance_map(region, x)
+            for y in vs:
+                gap = abs(vals[x] - vals[y])
+                if gap > dist[y]:
+                    return (x, y, gap, dist[y])
+    return None
+
+
 def kirszbraun_violation(
     region: Region, pinned: Mapping[Vertex, int]
 ) -> tuple[Vertex, Vertex, int, int] | None:
-    """First pinned pair with |h(x)-h(y)| > d_R(x,y), or None if extendable."""
+    """First pinned pair with |h(x)-h(y)| > d_R(x,y), or None if extendable.
+
+    The pair returned is the first in sorted (x, y) order, the one a scan
+    of all pinned pairs would stop at.  Cost O(|R|): two offset BFS passes
+    for the envelopes, plus one single-source BFS from x when the data is
+    not extendable.
+    """
     vals = _pinned_map(region, pinned)
-    vs = sorted(vals)
-    for x in vs:
-        dist = distance_map(region, x)
-        for y in vs:
-            gap = abs(vals[x] - vals[y])
-            if gap > dist[y]:
-                return (x, y, gap, dist[y])
-    return None
+    return _first_violation(region, vals, *_envelopes(region, vals))
 
 
 def kirszbraun_extendable(region: Region, pinned: Mapping[Vertex, int]) -> bool:
     """Extension exists iff pinned gaps never exceed graph distance."""
     return kirszbraun_violation(region, pinned) is None
-
-
-def _envelopes(
-    region: Region, vals: dict[Vertex, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise least upper / greatest lower height bounds from pinned data.
-
-    high(v) = min_x (h(x) + d_R(x, v)),  low(v) = max_x (h(x) - d_R(x, v)).
-    Computed by one multi-source Dijkstra sweep each over the region graph
-    (unit edge lengths, sources offset by the pinned values).
-    """
-    n = len(region.vertex_list)
-    INF = np.iinfo(np.int64).max // 4
-    high = np.full(n, INF, dtype=np.int64)
-    heap = []
-    for v, z in vals.items():
-        i = region.position(v)
-        if z < high[i]:
-            high[i] = z
-            heap.append((z, i))
-    heapq.heapify(heap)
-    while heap:
-        d, i = heapq.heappop(heap)
-        if d > high[i]:
-            continue
-        for j in region.neighbor_positions(i):
-            nd = d + 1
-            if nd < high[j]:
-                high[j] = nd
-                heapq.heappush(heap, (nd, j))
-
-    low = np.full(n, INF, dtype=np.int64)
-    heap = []
-    for v, z in vals.items():
-        i = region.position(v)
-        if -z < low[i]:
-            low[i] = -z
-            heap.append((-z, i))
-    heapq.heapify(heap)
-    while heap:
-        d, i = heapq.heappop(heap)
-        if d > low[i]:
-            continue
-        for j in region.neighbor_positions(i):
-            nd = d + 1
-            if nd < low[j]:
-                low[j] = nd
-                heapq.heappush(heap, (nd, j))
-    return -low, high
 
 
 def min_max_extensions(
@@ -273,9 +259,8 @@ def min_max_extensions(
     """
     vals = _pinned_map(region, pinned)
     low, high = _envelopes(region, vals)
-    bad = np.nonzero(low > high)[0]
-    if bad.size:
-        witness = kirszbraun_violation(region, vals)
+    if (low > high).any():
+        witness = _first_violation(region, vals, low, high)
         if witness is None:  # unreachable given low > high somewhere
             raise AssertionError("inconsistent envelope without metric witness")
         raise NoExtensionError(*witness)
@@ -343,9 +328,9 @@ def enumerate_extensions(
     vals = _pinned_map(region, pinned)
     pinned_f = HeightFunction.from_dict(vals)
     n = len(region.vertex_list)
-    if kirszbraun_violation(region, vals) is not None:
-        return ExtensionSet(region, pinned_f, ())
     env_low, env_high = _envelopes(region, vals)
+    if (env_low > env_high).any():  # exactly when a pinned gap is too wide
+        return ExtensionSet(region, pinned_f, ())
 
     assigned = [0] * n
     fixed = [False] * n
@@ -462,13 +447,11 @@ def extremal_boundary(
     """
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    from .lattice import boundary as region_boundary, make_box
+    from .lattice import boundary as region_boundary
 
-    arr = np.asarray(region.vertex_list, dtype=np.int64)
-    lows = arr.min(axis=0)
-    highs = arr.max(axis=0)
-    if region != make_box(lows.tolist(), highs.tolist()):
+    if not region.is_box():
         raise ValueError("extremal boundary data is defined for boxes only")
+    lows = np.asarray(region.vertex_list[0], dtype=np.int64)
     if (int(anchor) - _vertex_parity(tuple(lows))) % 2 != 0:
         raise ValueError(
             f"anchor {anchor} has wrong parity for corner {tuple(lows)}"

@@ -10,7 +10,8 @@ relative to the region, never to the ambient lattice.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from math import prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "neighbors",
     "graph_distance",
     "distance_map",
+    "multi_source_distances",
     "outer_extension",
     "boundary",
     "relative_boundary",
@@ -188,6 +190,16 @@ class Region:
         ea, eb = zip(*self._edge_positions)
         return np.asarray(ea, dtype=np.int64), np.asarray(eb, dtype=np.int64)
 
+    def is_box(self) -> bool:
+        """True iff the region is its whole bounding box.
+
+        The vertices are distinct and lie in the bounding box, so they fill
+        it exactly when there are as many of them as the box has points.
+        """
+        arr = np.asarray(self.vertex_list, dtype=np.int64)
+        sides = arr.max(axis=0) - arr.min(axis=0) + 1
+        return len(self) == prod(sides.tolist())
+
     def l1_diameter(self) -> int:
         """max_{x,y in R} sum_i |x_i - y_i| (ambient l1, not graph metric)."""
         arr = np.asarray(self.vertex_list, dtype=np.int64)
@@ -229,6 +241,50 @@ def distance_map(region: Region, source: Vertex) -> dict[Vertex, int]:
                 dist[j] = dist[i] + 1
                 queue.append(j)
     return {v: dist[i] for i, v in enumerate(region.vertex_list)}
+
+
+def multi_source_distances(
+    region: Region, offsets: Mapping[Vertex, int]
+) -> np.ndarray:
+    """min over sources s of (offsets[s] + d_R(s, v)), for every vertex v.
+
+    ``offsets`` maps each source vertex to an integer offset; the result
+    is an int64 array aligned with ``region.vertex_list``.  One
+    breadth-first pass, O(|R|) plus sorting the sources: the frontier
+    advances one distance level at a time, a source joins when the level
+    reaches its offset (unless it was reached earlier), and an empty
+    frontier jumps straight to the next source's offset, so sources whose
+    offsets lie far apart cost nothing extra.
+    """
+    if not offsets:
+        raise ValueError("need at least one source")
+    sources = sorted((int(z), region.position(v)) for v, z in offsets.items())
+    nbrs = region._neighbor_positions
+    dist: list[int | None] = [None] * len(region)
+    frontier: list[int] = []
+    k = 0
+    level = sources[0][0]
+    while True:
+        while k < len(sources) and sources[k][0] == level:
+            i = sources[k][1]
+            if dist[i] is None:
+                dist[i] = level
+                frontier.append(i)
+            k += 1
+        if not frontier:
+            if k == len(sources):
+                break
+            level = sources[k][0]
+            continue
+        level += 1
+        reached = []
+        for i in frontier:
+            for j in nbrs[i]:
+                if dist[j] is None:
+                    dist[j] = level
+                    reached.append(j)
+        frontier = reached
+    return np.asarray(dist, dtype=np.int64)
 
 
 def graph_distance(region: Region, x: Vertex, y: Vertex) -> int:

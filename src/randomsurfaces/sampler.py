@@ -22,13 +22,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .gibbs import QuenchedMeasure, required_window
+from .gibbs import QuenchedMeasure, _edge_window
 from .heights import (
     ExtensionSet,
     HeightFunction,
     min_max_extensions,
 )
-from .lattice import Region, Vertex, make_box
+from .lattice import Region, Vertex
 from .potential import Potential
 
 __all__ = [
@@ -75,12 +75,12 @@ def _chain_arrays(region: Region, pinned: HeightFunction):
 def _start_state(
     region: Region, pinned: Mapping[Vertex, int], p: Potential
 ) -> ChainState:
-    low, _ = min_max_extensions(region, pinned)
+    low, high = min_max_extensions(region, pinned)
     if isinstance(pinned, HeightFunction):
         pinned_f = pinned
     else:
         pinned_f = HeightFunction.from_dict(pinned)
-    lo, hi = required_window(region, pinned)
+    lo, hi = _edge_window(min(low.heights), max(high.heights))
     if not p.covers(lo, hi):
         raise ValueError(
             f"potential window {p.window} does not cover required [{lo}, {hi}]"
@@ -262,7 +262,7 @@ class BoxGlauber:
         arr = np.asarray(region.vertex_list, dtype=np.int64)
         lows = arr.min(axis=0)
         highs = arr.max(axis=0)
-        if region != make_box(lows.tolist(), highs.tolist()):
+        if not region.is_box():
             raise ValueError("BoxGlauber needs a full box region")
         if not potentials:
             raise ValueError("need at least one potential")
@@ -271,7 +271,7 @@ class BoxGlauber:
             if p.window != win:
                 raise ValueError("all potentials must share one window")
         lo_f, hi_f = min_max_extensions(region, pinned)
-        need_lo, need_hi = required_window(region, pinned)
+        need_lo, need_hi = _edge_window(min(lo_f.heights), max(hi_f.heights))
         if not potentials[0].covers(need_lo, need_hi):
             raise ValueError(
                 f"potential window {win} does not cover required "

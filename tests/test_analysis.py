@@ -24,6 +24,7 @@ import math
 import numpy as np
 import pytest
 
+from randomsurfaces import analysis, heights, lattice
 from randomsurfaces.analysis import (
     ExperimentConfig,
     ReportRow,
@@ -38,6 +39,7 @@ from randomsurfaces.analysis import (
     dominates_by_upper_sets,
     martingale_audit,
     two_point_comparison,
+    _max_walk_length,
 )
 from randomsurfaces.gibbs import (
     annealed_member_probabilities,
@@ -48,9 +50,11 @@ from randomsurfaces.heights import (
     HeightFunction,
     enumerate_extensions,
     extremal_boundary,
+    kirszbraun_violation,
+    min_max_extensions,
     parity_height,
 )
-from randomsurfaces.lattice import boundary, make_box
+from randomsurfaces.lattice import Region, boundary, distance_map, make_box
 from randomsurfaces.potential import (
     Potential,
     PotentialModel,
@@ -317,6 +321,66 @@ class TestWalks:
         walks = boundary_to_interior_walks(BOX3, RING3.domain, [(1, 1)])
         for walk in walks:
             assert len(walk) == graph_distance(BOX3, walk[0], walk[-1]) + 1
+
+
+def per_ring_walk_length(region):
+    """max over v of (min over ring vertices b of d_R(b, v)) + 1."""
+    maps = [distance_map(region, b) for b in boundary(region)]
+    return max(min(m[v] for m in maps) for v in region.vertex_list) + 1
+
+
+class TestMaxWalkLength:
+    def test_boxes_have_the_closed_form(self):
+        for n in (1, 2, 3, 4, 7, 10):
+            box = make_box((0, 0), (n - 1, n - 1))
+            assert _max_walk_length(box) == (n - 1) // 2 + 1
+
+    def test_l_shape(self):
+        ell = Region(
+            (i, j) for i in range(8) for j in range(8) if i < 3 or j < 3
+        )
+        assert _max_walk_length(ell) == per_ring_walk_length(ell)
+
+    def test_ring_with_a_hole(self):
+        for side, hole in ((7, range(3, 4)), (11, range(4, 7))):
+            ring = Region(
+                (i, j) for i in range(side) for j in range(side)
+                if not (i in hole and j in hole)
+            )
+            assert _max_walk_length(ring) == per_ring_walk_length(ring)
+
+    def test_random_regions(self, metric_instances):
+        for region, _, _ in metric_instances:
+            assert _max_walk_length(region) == per_ring_walk_length(region)
+
+
+class TestMetricLayerCost:
+    """The metric layer needs no single-source BFS per pinned vertex."""
+
+    def test_bfs_calls_on_the_100_box(self, monkeypatch):
+        calls = []
+
+        def counting(region, source):
+            calls.append(source)
+            return distance_map(region, source)
+
+        for mod in (lattice, heights, analysis):
+            if hasattr(mod, "distance_map"):
+                monkeypatch.setattr(mod, "distance_map", counting)
+        box = make_box((0, 0), (99, 99))
+        ring = extremal_boundary(box, 1, 0)
+        assert kirszbraun_violation(box, ring) is None
+        assert _max_walk_length(box) == 50
+        assert calls == []
+
+        _, high = min_max_extensions(box, ring)
+        bad = ring.as_dict()
+        bad[(50, 37)] = high[(50, 37)] + 2
+        x, y, gap, dist = kirszbraun_violation(box, bad)
+        assert len(calls) <= 1
+        assert (50, 37) in (x, y)
+        assert gap == abs(bad[x] - bad[y])
+        assert dist == abs(x[0] - y[0]) + abs(x[1] - y[1]) < gap
 
 
 class TestTailBounds:

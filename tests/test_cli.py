@@ -317,3 +317,22 @@ class TestConsoleScript:
             input="", capture_output=True, text=True,
         )
         assert proc.returncode == 1  # missing subcommand is a usage error
+
+    def test_module_run_prints_no_runpy_warning(self):
+        # the package must not import cli itself, or runpy warns that
+        # 'randomsurfaces.cli' is already in sys.modules
+        proc = subprocess.run(
+            [sys.executable, "-m", "randomsurfaces.cli", "--help"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert "usage" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_package_exposes_cli_lazily(self):
+        import randomsurfaces
+
+        assert "cli" in randomsurfaces.__all__
+        assert randomsurfaces.cli is cli
+        with pytest.raises(AttributeError):
+            randomsurfaces.no_such_module

@@ -16,6 +16,7 @@ Hand-derived oracles used below:
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,18 @@ def brute_force_extensions(region, pinned):
         if all(abs(flat[a] - flat[b]) == 1 for a, b in zip(ea, eb)):
             out.append(tuple(flat))
     return sorted(out)
+
+
+def pairwise_violation(region, pins, dist):
+    """Scan all pinned pairs in sorted (x, y) order for gap > distance."""
+    vs = sorted(pins)
+    for x in vs:
+        for y in vs:
+            d = int(dist[region.position(x), region.position(y)])
+            gap = abs(pins[x] - pins[y])
+            if gap > d:
+                return (x, y, gap, d)
+    return None
 
 
 class TestHeightFunction:
@@ -155,6 +168,27 @@ class TestKirszbraun:
         assert err.value.distance == 2
 
 
+    def test_witness_matches_pairwise_scan(self, metric_instances):
+        infeasible = 0
+        for region, pins, dist in metric_instances:
+            want = pairwise_violation(region, pins, dist)
+            assert kirszbraun_violation(region, pins) == want
+            infeasible += want is not None
+        # both branches are exercised many times
+        assert 50 < infeasible < len(metric_instances) - 50
+
+    def test_far_pins_on_a_path_answer_at_once(self):
+        path3 = make_box((0,), (2,))
+        pins = {(0,): 0, (2,): 10**9}
+        t0 = time.monotonic()
+        assert kirszbraun_violation(path3, pins) == ((0,), (2,), 10**9, 2)
+        with pytest.raises(NoExtensionError):
+            min_max_extensions(path3, pins)
+        assert len(enumerate_extensions(path3, pins)) == 0
+        # a level-by-level walk up to 10**9 would take minutes
+        assert time.monotonic() - t0 < 5.0
+
+
 class TestEnvelopes:
     def test_path_envelopes(self):
         low, high = min_max_extensions(PATH5, {(0,): 0, (4,): 0})
@@ -166,6 +200,36 @@ class TestEnvelopes:
         low, high = min_max_extensions(BOX3, pin)
         assert is_parity_homomorphism(low.as_dict())
         assert is_parity_homomorphism(high.as_dict())
+
+    def test_envelopes_match_brute_force(self, metric_instances):
+        for region, pins, dist in metric_instances:
+            src = [region.position(v) for v in pins]
+            vals = np.asarray([pins[v] for v in pins])
+            want_low = (vals[:, None] - dist[src, :]).max(axis=0)
+            want_high = (vals[:, None] + dist[src, :]).min(axis=0)
+            witness = pairwise_violation(region, pins, dist)
+            if witness is None:
+                low, high = min_max_extensions(region, pins)
+                assert low.heights == tuple(want_low.tolist())
+                assert high.heights == tuple(want_high.tolist())
+            else:
+                assert (want_low > want_high).any()
+                with pytest.raises(NoExtensionError) as err:
+                    min_max_extensions(region, pins)
+                got = (err.value.x, err.value.y, err.value.gap, err.value.distance)
+                assert got == witness
+
+    def test_enumeration_empty_exactly_when_infeasible(self, metric_instances):
+        small = [t for t in metric_instances if len(t[0]) <= 10]
+        assert len(small) > 20
+        for region, pins, dist in small:
+            got = enumerate_extensions(region, pins)
+            if pairwise_violation(region, pins, dist) is None:
+                want = enumerate_extensions_unpruned(region, pins)
+                assert len(got) > 0
+                assert got.members == want.members
+            else:
+                assert len(got) == 0
 
     def test_height_window(self):
         assert height_window(PATH5, {(0,): 0, (4,): 0}) == (-2, 2)

@@ -6,6 +6,7 @@ boundary ring has 8 vertices.  Removing the center leaves an 8-cycle
 on which the two opposite edge midpoints are 4 apart instead of 2.
 """
 
+import numpy as np
 import pytest
 
 from randomsurfaces.lattice import (
@@ -16,6 +17,7 @@ from randomsurfaces.lattice import (
     graph_distance,
     induced_edges,
     make_box,
+    multi_source_distances,
     neighbors,
     outer_extension,
     parse_region,
@@ -126,6 +128,43 @@ class TestDistances:
             for y in [(1, 0), (2, 1)]:
                 assert graph_distance(r, x, y) == graph_distance(r, y, x)
 
+    def test_multi_source_matches_brute_force(self, metric_instances):
+        # offsets are arbitrary integers here, not height data
+        for region, pins, dist in metric_instances:
+            got = multi_source_distances(region, pins)
+            srcs = [region.position(v) for v in pins]
+            offs = np.asarray([pins[v] for v in pins])
+            want = (offs[:, None] + dist[srcs, :]).min(axis=0)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_multi_source_single_source_is_distance_map(self):
+        r = ring3()
+        dm = distance_map(r, (0, 1))
+        got = multi_source_distances(r, {(0, 1): 0})
+        assert got.tolist() == [dm[v] for v in r.vertex_list]
+
+    def test_multi_source_jumps_between_far_offsets(self):
+        path = make_box((0,), (2,))
+        got = multi_source_distances(path, {(0,): 0, (2,): 10**9})
+        assert got.tolist() == [0, 1, 2]
+        got = multi_source_distances(path, {(0,): -(10**9), (2,): 10**9})
+        assert got.tolist() == [-(10**9), 1 - 10**9, 2 - 10**9]
+
+    def test_multi_source_late_source_already_reached(self):
+        # (2,) is reached at level 2 before its own offset 5 comes up
+        path = make_box((0,), (3,))
+        got = multi_source_distances(path, {(0,): 0, (2,): 5, (3,): -1})
+        assert got.tolist() == [0, 1, 0, -1]
+
+    def test_multi_source_needs_a_source(self):
+        with pytest.raises(ValueError):
+            multi_source_distances(ring3(), {})
+
+    def test_multi_source_rejects_outside_source(self):
+        with pytest.raises(KeyError):
+            multi_source_distances(ring3(), {(1, 1): 0})
+
     def test_l1_diameter(self):
         assert make_box((0, 0), (2, 2)).l1_diameter() == 4
         assert make_box((0,), (4,)).l1_diameter() == 4
@@ -133,6 +172,14 @@ class TestDistances:
 
 
 class TestBoundaries:
+    def test_is_box(self):
+        assert make_box((0, 0), (2, 2)).is_box()
+        assert make_box((-3, 1, 0), (-1, 2, 4)).is_box()
+        assert make_box((5,), (9,)).is_box()
+        assert Region([(7, 7)]).is_box()
+        assert not ring3().is_box()
+        assert not Region([(0, 0), (0, 1), (1, 1)]).is_box()
+
     def test_box_boundary_is_the_ring(self):
         box = make_box((0, 0), (2, 2))
         assert boundary(box) == set(ring3().vertex_list)

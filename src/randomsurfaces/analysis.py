@@ -17,6 +17,7 @@ Three layers:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -33,6 +34,7 @@ from .gibbs import (
 from .heights import (
     ExtensionSet,
     HeightFunction,
+    as_height_function,
     enumerate_extensions,
     extremal_boundary,
     parity_height,
@@ -265,16 +267,8 @@ def dominance_sweep(
     max_err = 0.0
     failures = []
     for k, (pin_low, pin_high) in enumerate(pinned_pairs):
-        low_f = (
-            pin_low
-            if isinstance(pin_low, HeightFunction)
-            else HeightFunction.from_dict(pin_low)
-        )
-        high_f = (
-            pin_high
-            if isinstance(pin_high, HeightFunction)
-            else HeightFunction.from_dict(pin_high)
-        )
+        low_f = as_height_function(pin_low)
+        high_f = as_height_function(pin_high)
         if low_f.domain != high_f.domain:
             raise ValueError(f"pair {k}: pinned sets differ")
         if not low_f.le(high_f):
@@ -315,16 +309,8 @@ def two_point_comparison(
     AnnealedEstimates (low side, high side); the monotonicity conclusion
     is mean_low <= mean_high + 2.
     """
-    low_f = (
-        pinned_low
-        if isinstance(pinned_low, HeightFunction)
-        else HeightFunction.from_dict(pinned_low)
-    )
-    high_f = (
-        pinned_high
-        if isinstance(pinned_high, HeightFunction)
-        else HeightFunction.from_dict(pinned_high)
-    )
+    low_f = as_height_function(pinned_low)
+    high_f = as_height_function(pinned_high)
     if low_f.domain != high_f.domain:
         raise ValueError("boundary datasets must share a pinned set")
     if not low_f.le(high_f.shift(2)):
@@ -380,11 +366,7 @@ def martingale_audit(
     vertices of the region to the target path[-1].  Member probabilities
     are annealed (exactly for finite-support models, else Monte Carlo).
     """
-    pinned_f = (
-        pinned
-        if isinstance(pinned, HeightFunction)
-        else HeightFunction.from_dict(pinned)
-    )
+    pinned_f = as_height_function(pinned)
     walk = [tuple(v) for v in path]
     if len(walk) < 1:
         raise ValueError("empty walk")
@@ -437,9 +419,9 @@ def boundary_to_interior_walks(
     for x0 in starts:
         # BFS tree rooted at x0
         parent: dict[Vertex, Vertex | None] = {x0: None}
-        queue = [x0]
+        queue = deque([x0])
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             i = region.position(cur)
             for j in region.neighbor_positions(i):
                 w = region.vertex_list[j]

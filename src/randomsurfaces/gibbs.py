@@ -22,6 +22,7 @@ from .heights import (
     ExtensionSet,
     HeightFunction,
     NoExtensionError,
+    as_height_function,
     enumerate_extensions,
     height_window,
     kirszbraun_violation,
@@ -330,10 +331,7 @@ def check_shift_identity(
     raised data; the reindexed potential then covers the original.
     Returns the max relative probability difference over members.
     """
-    if isinstance(pinned, HeightFunction):
-        base = pinned
-    else:
-        base = HeightFunction.from_dict(pinned)
+    base = as_height_function(pinned)
     raised = base.shift(2)
 
     mu_raised = quenched_measure(region, raised, p)

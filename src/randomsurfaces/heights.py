@@ -28,6 +28,7 @@ from .lattice import (
 
 __all__ = [
     "HeightFunction",
+    "as_height_function",
     "ExtensionSet",
     "NoExtensionError",
     "parity_height",
@@ -142,6 +143,13 @@ class HeightFunction:
 
     def values_array(self) -> np.ndarray:
         return np.asarray(self.heights, dtype=np.int64)
+
+
+def as_height_function(values: Mapping[Vertex, int]) -> HeightFunction:
+    """``values`` itself if it is a HeightFunction, else built from the mapping."""
+    if isinstance(values, HeightFunction):
+        return values
+    return HeightFunction.from_dict(values)
 
 
 def parity_height(region: Region) -> HeightFunction:

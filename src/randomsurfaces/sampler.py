@@ -1,33 +1,41 @@
 """Heat-bath dynamics for height functions under a height-axis potential.
 
 The single-site (Glauber) move at a free vertex v resamples h(v) from
-its conditional law given the neighbors: the candidates are
-max(nbrs) - 1 and min(nbrs) + 1 (equal when the neighbors span a gap of
-2), weighted by exp of the local energy sum_u omega_{min(z, h(u))}.
-The decision rule "take the upper candidate iff u < P(upper)" with a
-shared uniform u and shared vertex choice couples two chains so that a
-pointwise height ordering is preserved forever.
+its conditional law given its in-region neighbours.  On the bipartite
+lattice those neighbours share a parity, so their heights span 0 or 2:
 
-Two engines are provided: a functional single-site chain on arbitrary
-regions, and a vectorized checkerboard-sweep engine for 2D boxes that
-runs many chains in parallel.  Both have the same stationary law (on a
+* span 2 (heights m and m + 2): the only choice is h(v) = m + 1;
+* span 0 (all k neighbours at z): h(v) = z + 1 or z - 1, with weights
+  exp(k omega_z) and exp(k omega_{z-1}) since each of the k edges feels
+  omega at the lower endpoint, so P(up) = expit(k (omega_z - omega_{z-1})).
+
+Every path reads P(up) from one table per potential, indexed by k and
+z, built with ``expit`` (no overflow for any potential).  The decision
+rule "take the upper candidate iff u < P(upper)" with a shared uniform u
+and shared vertex choice couples two chains so that a pointwise height
+ordering is preserved forever.
+
+Two engines are provided: a single-site chain on arbitrary regions
+(``run_chain``, ``coupled_run``, ``glauber_step``; a Python loop over
+lists that draws its picks and uniforms in fixed chunks, with
+``transition_matrix`` as its exact kernel), and a vectorized
+checkerboard-sweep engine for 2D boxes that runs many chains in
+parallel (``BoxGlauber``).  Both have the same stationary law (on a
 bipartite graph, same-parity sites have disjoint neighborhoods, so a
 half-sweep is a composition of commuting heat-bath kernels).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .gibbs import QuenchedMeasure, _edge_window
-from .heights import (
-    ExtensionSet,
-    HeightFunction,
-    min_max_extensions,
-)
+from .heights import HeightFunction, as_height_function, min_max_extensions
 from .lattice import Region, Vertex
 from .potential import Potential
 
@@ -41,6 +49,9 @@ __all__ = [
     "transition_matrix",
     "BoxGlauber",
 ]
+
+# updates drawn per chunk by the single-site chains
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,67 +69,93 @@ class ChainState:
         return HeightFunction(self.region.vertex_list, self.heights)
 
 
-def _chain_arrays(region: Region, pinned: HeightFunction):
-    """Free-vertex positions and per-position neighbor index arrays."""
+def _flip_table(values: np.ndarray, kmax: int) -> np.ndarray:
+    """Heat-bath P(up) at a free site whose k neighbours all sit at z.
+
+    ``values`` holds potential values on the window [lo, hi] in its last
+    axis; entry [..., k, z - lo] of the result is
+    expit(k (omega_z - omega_{z-1})), for k = 0..kmax.  Column 0 would
+    need omega_{lo-1}: it holds 1/2 and is read only by forced updates,
+    which ignore it.
+    """
+    step = np.diff(values, axis=-1, prepend=values[..., :1])
+    k = np.arange(kmax + 1, dtype=np.float64)[:, None]
+    return expit(k * step[..., None, :])
+
+
+def _single_site_plan(region: Region, pinned: HeightFunction, p: Potential):
+    """Free positions, neighbour positions, and each position's table row."""
     pinned_pos = {region.position(v) for v in pinned.domain}
-    free = np.asarray(
-        [i for i in range(len(region)) if i not in pinned_pos],
-        dtype=np.int64,
-    )
-    nbrs = tuple(
-        np.asarray(row, dtype=np.intp)
-        for row in region._neighbor_positions
-    )
-    return free, nbrs
+    free = [i for i in range(len(region)) if i not in pinned_pos]
+    nbrs = region._neighbor_positions
+    tab = _flip_table(p.values, max(map(len, nbrs))).tolist()
+    return free, nbrs, [tab[len(nb)] for nb in nbrs]
+
+
+def _up_probability(
+    h: list[int], nb: tuple[int, ...], row: list[float], plo: int
+) -> tuple[int, float]:
+    """Lowest neighbour height m and P(new height = m + 1).
+
+    Neighbours of a site share a parity, so they span 0 or 2.  Spanning
+    2 forces m + 1 (probability 1); otherwise the site sees k neighbours
+    at m and goes to m + 1 with the table probability, else to m - 1.
+    """
+    mn = mx = h[nb[0]]
+    for j in nb:
+        z = h[j]
+        if z < mn:
+            mn = z
+        elif z > mx:
+            mx = z
+    return mn, (row[mn - plo] if mn == mx else 1.0)
 
 
 def _start_state(
     region: Region, pinned: Mapping[Vertex, int], p: Potential
 ) -> ChainState:
     low, high = min_max_extensions(region, pinned)
-    if isinstance(pinned, HeightFunction):
-        pinned_f = pinned
-    else:
-        pinned_f = HeightFunction.from_dict(pinned)
     lo, hi = _edge_window(min(low.heights), max(high.heights))
     if not p.covers(lo, hi):
         raise ValueError(
             f"potential window {p.window} does not cover required [{lo}, {hi}]"
         )
-    return ChainState(region, pinned_f, low.heights, p, 0)
+    return ChainState(region, as_height_function(pinned), low.heights, p, 0)
 
 
-def _site_update(
-    heights: np.ndarray,
-    i: int,
-    nbrs: tuple[int, ...],
-    pvals: np.ndarray,
-    plo: int,
-    u: float,
-) -> int:
-    """New height at position i under the shared-threshold heat-bath rule."""
-    nv = heights[nbrs]
-    m = int(nv.min())
-    big = int(nv.max())
-    lo, hi = big - 1, m + 1
-    e_lo = pvals[np.minimum(lo, nv) - plo].sum()
-    e_hi = pvals[np.minimum(hi, nv) - plo].sum()
-    p_hi = 1.0 / (1.0 + np.exp(e_lo - e_hi))
-    return hi if u < p_hi else lo
+def _site_draws(rng: np.random.Generator, free: list[int], steps: int):
+    """Chosen positions and uniforms for ``steps`` updates, chunk by chunk.
+
+    Yields, as lists, exactly the values of
+    ``rng.integers(len(free), size=steps)`` (mapped to positions) and
+    then ``rng.random(steps)``, and leaves ``rng`` in that end state, but
+    holds at most ``_CHUNK`` of each at a time: a copy of the generator
+    draws the picks while ``rng``, first advanced past them, draws the
+    uniforms.
+    """
+    picker = copy.deepcopy(rng)
+    chunks = [min(_CHUNK, steps - s) for s in range(0, steps, _CHUNK)]
+    for c in chunks:
+        rng.integers(len(free), size=c)
+    positions = np.asarray(free, dtype=np.intp)
+    for c in chunks:
+        picks = picker.integers(len(free), size=c)
+        yield positions[picks].tolist(), rng.random(c).tolist()
 
 
 def glauber_step(state: ChainState, rng: np.random.Generator) -> ChainState:
     """One heat-bath update at a uniformly random free vertex."""
-    free, nbrs = _chain_arrays(state.region, state.pinned)
-    if free.size == 0:
-        return replace(state, step=state.step + 1)
-    h = np.asarray(state.heights, dtype=np.int64)
-    i = int(free[rng.integers(free.size)])
-    u = float(rng.random())
-    h[i] = _site_update(
-        h, i, nbrs[i], state.potential.values, state.potential.lo, u
+    free, nbrs, rows = _single_site_plan(
+        state.region, state.pinned, state.potential
     )
-    return replace(state, heights=tuple(int(z) for z in h), step=state.step + 1)
+    if not free:
+        return replace(state, step=state.step + 1)
+    h = list(state.heights)
+    i = free[int(rng.integers(len(free)))]
+    u = float(rng.random())
+    mn, p_up = _up_probability(h, nbrs[i], rows[i], state.potential.lo)
+    h[i] = mn + 1 if u < p_up else mn - 1
+    return replace(state, heights=tuple(h), step=state.step + 1)
 
 
 def run_chain(
@@ -130,17 +167,16 @@ def run_chain(
 ) -> HeightFunction:
     """Run single-site Glauber from the minimal extension; return the end state."""
     state = _start_state(region, pinned, p)
-    free, nbrs = _chain_arrays(region, state.pinned)
-    h = np.asarray(state.heights, dtype=np.int64)
-    if free.size == 0 or steps == 0:
+    free, nbrs, rows = _single_site_plan(region, state.pinned, p)
+    if not free or steps == 0:
         return state.current
-    picks = rng.integers(free.size, size=steps)
-    us = rng.random(steps)
-    pvals, plo = p.values, p.lo
-    for t in range(steps):
-        i = int(free[picks[t]])
-        h[i] = _site_update(h, i, nbrs[i], pvals, plo, float(us[t]))
-    return HeightFunction(region.vertex_list, tuple(int(z) for z in h))
+    h = list(state.heights)
+    plo = p.lo
+    for positions, us in _site_draws(rng, free, steps):
+        for i, u in zip(positions, us):
+            mn, p_up = _up_probability(h, nbrs[i], rows[i], plo)
+            h[i] = mn + 1 if u < p_up else mn - 1
+    return HeightFunction(region.vertex_list, tuple(h))
 
 
 def coupled_run(
@@ -165,29 +201,30 @@ def coupled_run(
         raise ValueError("coupled chains need a common pinned vertex set")
     if not s_low.pinned.le(s_high.pinned):
         raise ValueError("boundary data must be ordered low <= high")
-    free, nbrs = _chain_arrays(region, s_low.pinned)
-    h_low = np.asarray(s_low.heights, dtype=np.int64)
-    h_high = np.asarray(s_high.heights, dtype=np.int64)
-    if not (h_low <= h_high).all():
+    free, nbrs, rows = _single_site_plan(region, s_low.pinned, p)
+    h_low = list(s_low.heights)
+    h_high = list(s_high.heights)
+    if any(a > b for a, b in zip(h_low, h_high)):
         raise AssertionError("minimal extensions not ordered")
-    pvals, plo = p.values, p.lo
-    if free.size and steps:
-        picks = rng.integers(free.size, size=steps)
-        us = rng.random(steps)
-        for t in range(steps):
-            i = int(free[picks[t]])
-            u = float(us[t])
-            h_low[i] = _site_update(h_low, i, nbrs[i], pvals, plo, u)
-            h_high[i] = _site_update(h_high, i, nbrs[i], pvals, plo, u)
+    plo = p.lo
+    t = 0
+    for positions, us in _site_draws(rng, free, steps) if free else ():
+        for i, u in zip(positions, us):
+            nb, row = nbrs[i], rows[i]
+            mn, p_up = _up_probability(h_low, nb, row, plo)
+            h_low[i] = mn + 1 if u < p_up else mn - 1
+            mn, p_up = _up_probability(h_high, nb, row, plo)
+            h_high[i] = mn + 1 if u < p_up else mn - 1
             if h_low[i] > h_high[i]:
                 raise AssertionError(
                     f"coupling lost the order at vertex "
                     f"{region.vertex_list[i]}, step {t}"
                 )
-    to_f = lambda h: HeightFunction(
-        region.vertex_list, tuple(int(z) for z in h)
+            t += 1
+    return (
+        HeightFunction(region.vertex_list, tuple(h_low)),
+        HeightFunction(region.vertex_list, tuple(h_high)),
     )
-    return to_f(h_low), to_f(h_high)
 
 
 def sample_indices(
@@ -214,27 +251,24 @@ def transition_matrix(mu: QuenchedMeasure) -> np.ndarray:
     and detailed balance directly from this matrix.
     """
     support = mu.support
-    region = support.region
-    free, nbrs = _chain_arrays(region, support.pinned)
-    if free.size == 0:
+    free, nbrs, rows = _single_site_plan(
+        support.region, support.pinned, mu.potential
+    )
+    if not free:
         return np.eye(len(support))
     index = {m.heights: i for i, m in enumerate(support.members)}
     P = np.zeros((len(support), len(support)))
-    pvals, plo = mu.potential.values, mu.potential.lo
+    plo = mu.potential.lo
     for s, g in enumerate(support.members):
-        h = np.asarray(g.heights, dtype=np.int64)
+        h = list(g.heights)
         for i in free:
-            nv = h[nbrs[i]]
-            m, big = int(nv.min()), int(nv.max())
-            lo, hi = big - 1, m + 1
-            e_lo = pvals[np.minimum(lo, nv) - plo].sum()
-            e_hi = pvals[np.minimum(hi, nv) - plo].sum()
-            p_hi = 1.0 / (1.0 + np.exp(e_lo - e_hi))
-            for z, w in ((hi, p_hi), (lo, 1.0 - p_hi)):
-                h2 = h.copy()
-                h2[i] = z
-                t = index[tuple(int(x) for x in h2)]
-                P[s, t] += w / free.size
+            mn, p_up = _up_probability(h, nbrs[i], rows[i], plo)
+            h[i] = mn + 1
+            P[s, index[tuple(h)]] += p_up / len(free)
+            if p_up < 1.0:  # a free choice: the lower height is a member
+                h[i] = mn - 1
+                P[s, index[tuple(h)]] += (1.0 - p_up) / len(free)
+            h[i] = g.heights[i]
     return P
 
 
@@ -247,6 +281,14 @@ class BoxGlauber:
     odd-parity ones; within a half-sweep the updated sites are mutually
     non-adjacent, so the parallel update equals a product of single-site
     heat baths.
+
+    Each update is the closed form of the heat bath: with mn and mx the
+    lowest and highest of a site's in-box neighbours, the new height is
+    mn + 1 when mx = mn + 2, and otherwise mn + 1 with probability
+    expit(k (omega_mn - omega_{mn-1})) (k in-box neighbours), else
+    mn - 1.  Those probabilities are looked up in a per-potential table
+    built once.  A uniform is drawn for every updated site, forced or
+    not, so the random stream depends only on the batch and the box.
     """
 
     def __init__(
@@ -284,15 +326,9 @@ class BoxGlauber:
         n0, n1 = self.shape
         self.batch = len(potentials)
         self.rng = rng
-        self.plo = win[0]
-        self.ptable = np.stack([p.values for p in potentials])  # (B, P)
 
-        if isinstance(pinned, HeightFunction):
-            pinned_f = pinned
-        else:
-            pinned_f = HeightFunction.from_dict(pinned)
         self.pinned_mask = np.zeros(self.shape, dtype=bool)
-        for v in pinned_f.domain:
+        for v in as_height_function(pinned).domain:
             self.pinned_mask[v[0] - self.low[0], v[1] - self.low[1]] = True
 
         low_grid = np.asarray(lo_f.heights, dtype=np.int64).reshape(self.shape)
@@ -319,15 +355,24 @@ class BoxGlauber:
             init.reshape(-1), (self.batch, n0 * n1)
         ).copy()
 
-        # per parity: flat indices of updatable sites, their four neighbor
-        # indices (aliased to the site itself when outside the box), and
-        # validity masks; parity follows ambient coordinates
+        # table (batch, k, z - lo), flattened; chain b at a site with k
+        # in-box neighbours reads it at z + base[b, site]
+        offsets = ((-1, 0), (1, 0), (0, -1), (0, 1))
+        tab = _flip_table(
+            np.stack([p.values for p in potentials]), len(offsets)
+        )
+        self._table = tab.reshape(-1)
+        brow = np.arange(self.batch, dtype=np.intp)[:, None] * tab[0].size
+
+        # per parity: flat indices of updatable sites, their four neighbour
+        # slots (an off-box slot repeats an in-box neighbour, which leaves
+        # min and max unchanged) and their table bases; parity follows
+        # ambient coordinates
         self._upd: list[np.ndarray] = []
         self._nbr: list[np.ndarray] = []  # (dirs, sites) index matrix
-        self._ok: list[np.ndarray | None] = []  # None: all dirs valid
+        self._base: list[np.ndarray] = []  # (batch, sites)
         ii, jj = np.meshgrid(np.arange(n0), np.arange(n1), indexing="ij")
         site_parity = (ii + self.low[0] + jj + self.low[1]) % 2
-        offsets = ((-1, 0), (1, 0), (0, -1), (0, 1))
         for par in (0, 1):
             sel = (site_parity == par) & ~self.pinned_mask
             si, sj = np.nonzero(sel)
@@ -335,58 +380,26 @@ class BoxGlauber:
             nbrs, oks = [], []
             for di, dj in offsets:
                 ti, tj = si + di, sj + dj
-                ok = (0 <= ti) & (ti < n0) & (0 <= tj) & (tj < n1)
-                nbrs.append(
-                    np.where(ok, ti * n1 + tj, si * n1 + sj).astype(np.intp)
-                )
-                oks.append(ok)
-            self._nbr.append(np.stack(nbrs))
-            ok_mat = np.stack(oks)
-            self._ok.append(None if ok_mat.all() else ok_mat)
-        plen = self.ptable.shape[1]
-        self._flat_table = self.ptable.reshape(-1)
-        self._brow = (np.arange(self.batch, dtype=np.intp) * plen)[
-            :, None, None
-        ]
+                oks.append((0 <= ti) & (ti < n0) & (0 <= tj) & (tj < n1))
+                nbrs.append(ti * n1 + tj)
+            ok = np.stack(oks)
+            nbr = np.stack(nbrs)
+            first = nbr[ok.argmax(axis=0), np.arange(si.size)]
+            self._nbr.append(np.where(ok, nbr, first).astype(np.intp))
+            k = ok.sum(axis=0)
+            self._base.append(brow + (k * tab.shape[-1] - win[0]))
 
     def half_sweep(self, parity: int) -> None:
         upd = self._upd[parity]
         if upd.size == 0:
             return
         cur = self.flat
-        ok = self._ok[parity]
         nvs = cur[:, self._nbr[parity]]  # (batch, dirs, sites)
-        plen = self.ptable.shape[1]
-        if ok is None:
-            mn = nvs.min(axis=1)
-            mx = nvs.max(axis=1)
-            lo = mx - 1
-            hi = mn + 1
-            idx = np.minimum(lo[:, None, :], nvs) - self.plo
-            e_lo = self._flat_table[self._brow + idx].sum(axis=1)
-            idx = np.minimum(hi[:, None, :], nvs) - self.plo
-            e_hi = self._flat_table[self._brow + idx].sum(axis=1)
-        else:
-            BIG = np.iinfo(np.int64).max // 4
-            mn = np.where(ok, nvs, BIG).min(axis=1)
-            mx = np.where(ok, nvs, -BIG).max(axis=1)
-            lo = mx - 1
-            hi = mn + 1
-            idx = np.clip(
-                np.minimum(lo[:, None, :], nvs) - self.plo, 0, plen - 1
-            )
-            e_lo = np.where(
-                ok, self._flat_table[self._brow + idx], 0.0
-            ).sum(axis=1)
-            idx = np.clip(
-                np.minimum(hi[:, None, :], nvs) - self.plo, 0, plen - 1
-            )
-            e_hi = np.where(
-                ok, self._flat_table[self._brow + idx], 0.0
-            ).sum(axis=1)
-        p_hi = 1.0 / (1.0 + np.exp(e_lo - e_hi))
+        mn = nvs.min(axis=1)
+        mx = nvs.max(axis=1)
+        p_up = self._table[mn + self._base[parity]]
         u = self.rng.random((self.batch, upd.size))
-        cur[:, upd] = np.where(u < p_hi, hi, lo)
+        cur[:, upd] = mn + 1 - 2 * ((mx == mn) & (u >= p_up))
 
     def sweep(self, n: int = 1) -> None:
         for _ in range(n):

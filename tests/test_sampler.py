@@ -6,7 +6,16 @@ stationary for the quenched measure, and in detailed balance with it.
 The 3x3 box pinned at two opposite corners (44 extensions, counted by
 an independent brute force) exercises the kernel on a support where
 free vertices interact.
+
+The sampler reads its heat-bath probabilities from a closed-form table;
+``reference_update`` below keeps the energy-sum form of the same rule
+as the oracle, and the differential tests require identical end states
+from the same random stream.
 """
+
+import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +23,7 @@ import pytest
 from randomsurfaces.gibbs import quenched_measure, required_window
 from randomsurfaces.heights import (
     enumerate_extensions,
+    extremal_boundary,
     min_max_extensions,
     parity_height,
     validate,
@@ -285,3 +295,242 @@ class TestBoxGlauber:
                 BOX3, CORNER_PIN, [Potential(0, 1, np.zeros(2))],
                 np.random.default_rng(0),
             )
+
+
+# -- the energy-sum heat bath as the reference ------------------------------
+
+
+def reference_law(nv, p):
+    """Heat bath at a site with neighbour heights ``nv``, by energy sums.
+
+    Returns the candidates max - 1 and min + 1 (equal when the
+    neighbours span 2) and P(min + 1), under weights
+    exp(sum over neighbours of omega_{min(z, h(u))}).
+    """
+    lo, hi = max(nv) - 1, min(nv) + 1
+    e_lo = sum(p.values[min(lo, z) - p.lo] for z in nv)
+    e_hi = sum(p.values[min(hi, z) - p.lo] for z in nv)
+    return lo, hi, 1.0 / (1.0 + math.exp(e_lo - e_hi))
+
+
+def reference_update(nv, p, u):
+    lo, hi, p_hi = reference_law(nv, p)
+    return hi if u < p_hi else lo
+
+
+def free_positions(region, pinned):
+    pinned_pos = {region.position(v) for v, _ in pinned.items()}
+    return [i for i in range(len(region)) if i not in pinned_pos]
+
+
+def reference_chains(region, free, starts, p, steps, rng):
+    """Single-site chains from ``starts`` with shared picks and uniforms.
+
+    The picks and then the uniforms are drawn in one shot each.
+    """
+    picks = rng.integers(len(free), size=steps)
+    us = rng.random(steps)
+    hs = [list(h) for h in starts]
+    for t in range(steps):
+        i = free[picks[t]]
+        for h in hs:
+            nv = [h[j] for j in region.neighbor_positions(i)]
+            h[i] = reference_update(nv, p, us[t])
+    return hs
+
+
+def reference_box_sweeps(region, pinned, start_rows, pots, sweeps, rng):
+    """Checkerboard sweeps by energy sums, site by site, from ``start_rows``.
+
+    Per half-sweep (even ambient parity first) one (batch, sites) block of
+    uniforms, sites in vertex order; same-parity sites do not interact,
+    so updating them one by one from the old heights is the parallel
+    update.
+    """
+    free = free_positions(region, pinned)
+    by_parity = [
+        [i for i in free if sum(region.vertex_list[i]) % 2 == par]
+        for par in (0, 1)
+    ]
+    h = np.array(start_rows, dtype=np.int64)
+    for _ in range(sweeps):
+        for sites in by_parity:
+            if not sites:
+                continue
+            u = rng.random((len(pots), len(sites)))
+            old = h.copy()
+            for b, p in enumerate(pots):
+                for s, i in enumerate(sites):
+                    nv = [int(old[b, j]) for j in region.neighbor_positions(i)]
+                    h[b, i] = reference_update(nv, p, u[b, s])
+    return h
+
+
+def window_potentials(region, pinned, specs, pad=0):
+    lo, hi = required_window(region, pinned)
+    return [
+        sample_potential(PotentialModel(kind, param, seed), (lo - pad, hi), d)
+        for kind, param, seed, d in specs
+    ]
+
+
+def ring(region):
+    return parity_height(region).restrict(boundary(region))
+
+
+BOX7 = make_box((1, 2), (7, 8))  # off the origin: parity follows coordinates
+BOX9 = make_box((0, 0), (8, 8))
+BOX25 = make_box((0, 0), (24, 24))
+MIXED = [
+    ("twopoint", 1.0, 5, 0),
+    ("uniform", 2.0, 5, 1),
+    ("zero", 0.0, 0, 0),
+    ("uniform", 0.25, 6, 2),
+    ("twopoint", 0.5, 7, 3),
+]
+
+
+class TestClosedFormMatchesEnergySums:
+    @pytest.mark.parametrize("start", ["low", "mid"])
+    @pytest.mark.parametrize(
+        "region,pinned",
+        [
+            (BOX7, {(1, 2): 1, (7, 8): 1}),
+            (BOX7, ring(BOX7)),
+            (BOX9, extremal_boundary(BOX9, 1, 0)),
+            (BOX9, extremal_boundary(BOX9, -1, 0)),
+        ],
+        ids=["corners", "ring", "extremal-up", "extremal-down"],
+    )
+    def test_box_sweeps(self, region, pinned, start):
+        # one batch mixes potential laws, so each chain reads its own row
+        pots = window_potentials(region, pinned, MIXED)
+        eng = BoxGlauber(region, pinned, pots, np.random.default_rng(21),
+                         start=start)
+        want = reference_box_sweeps(
+            region, pinned, eng.height_matrix(), pots, 15,
+            np.random.default_rng(21),
+        )
+        eng.sweep(15)
+        assert eng.height_matrix().dtype == np.int64
+        assert np.array_equal(eng.height_matrix(), want)
+
+    @pytest.mark.parametrize(
+        "region,pinned,steps",
+        [
+            (BOX3, CORNER_PIN, 500),
+            (BOX3, CORNER_PIN, 70_001),  # crosses chunk boundaries
+            (BOX9, extremal_boundary(BOX9, 1, 0), 70_000),
+            (BOX25, ring(BOX25), 33_000),
+            (PATH5, {(0,): 0, (4,): 0}, 2_000),
+        ],
+    )
+    def test_run_chain(self, region, pinned, steps):
+        (p,) = window_potentials(region, pinned, [("uniform", 1.5, 2, 0)])
+        low, _ = min_max_extensions(region, pinned)
+        rng = np.random.default_rng(8)
+        got = run_chain(region, pinned, p, steps, rng)
+        ref_rng = np.random.default_rng(8)
+        (want,) = reference_chains(
+            region, free_positions(region, pinned), [low.heights], p, steps,
+            ref_rng,
+        )
+        assert list(got.heights) == want
+        # the chunked draws leave the generator where one-shot draws do
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("steps", [3_000, 40_000])
+    def test_coupled_run(self, steps):
+        high_pin = RING_PIN.shift(2)
+        (p,) = window_potentials(
+            BOX3, high_pin, [("twopoint", 1.0, 4, 0)], pad=2
+        )
+        rng = np.random.default_rng(5)
+        f_low, f_high = coupled_run(BOX3, RING_PIN, high_pin, p, steps, rng)
+        starts = [
+            min_max_extensions(BOX3, d)[0].heights for d in (RING_PIN, high_pin)
+        ]
+        ref_rng = np.random.default_rng(5)
+        want = reference_chains(
+            BOX3, free_positions(BOX3, RING_PIN), starts, p, steps, ref_rng
+        )
+        assert [list(f_low.heights), list(f_high.heights)] == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "region,pinned",
+        [
+            (BOX3, CORNER_PIN),
+            (BOX3, RING_PIN),
+            (PATH5, {(0,): 0, (4,): 0}),
+            (make_box((0, 0), (3, 3)), {(0, 0): 0, (3, 3): 0}),
+        ],
+    )
+    def test_transition_matrix(self, region, pinned):
+        mu = measure(region, pinned, param=1.5, seed=4)
+        free = free_positions(region, pinned)
+        index = {m.heights: i for i, m in enumerate(mu.support.members)}
+        want = np.zeros((len(mu), len(mu)))
+        for s, g in enumerate(mu.support.members):
+            for i in free:
+                nv = [g.heights[j] for j in region.neighbor_positions(i)]
+                lo, hi, p_hi = reference_law(nv, mu.potential)
+                for z, w in ((hi, p_hi), (lo, 1.0 - p_hi)):
+                    h = list(g.heights)
+                    h[i] = z
+                    want[s, index[tuple(h)]] += w / len(free)
+        assert np.max(np.abs(transition_matrix(mu) - want)) <= 1e-15
+
+
+class TestExtremePotentials:
+    """|omega| up to 1000 drives k (omega_z - omega_{z-1}) to +-8000."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_run_chain(self):
+        (p,) = window_potentials(BOX9, ring(BOX9), [("uniform", 1000.0, 1, 0)])
+        f = run_chain(BOX9, ring(BOX9), p, 5_000, np.random.default_rng(0))
+        assert validate(BOX9, f.as_dict())
+
+    def test_coupled_run(self):
+        high_pin = RING_PIN.shift(2)
+        (p,) = window_potentials(
+            BOX3, high_pin, [("uniform", 1000.0, 2, 0)], pad=2
+        )
+        f_low, f_high = coupled_run(
+            BOX3, RING_PIN, high_pin, p, 2_000, np.random.default_rng(1)
+        )
+        assert f_low.le(f_high)
+
+    def test_box_sweep(self):
+        pots = window_potentials(
+            BOX9, ring(BOX9), [("uniform", 1000.0, 3, d) for d in range(4)]
+        )
+        eng = BoxGlauber(BOX9, ring(BOX9), pots, np.random.default_rng(2))
+        eng.sweep(20)
+        for row in eng.height_matrix():
+            assert validate(BOX9, dict(zip(BOX9.vertex_list, row.tolist())))
+
+    def test_transition_matrix_stays_stochastic(self):
+        mu = measure(BOX3, CORNER_PIN, param=1000.0, seed=4)
+        P = transition_matrix(mu)
+        assert np.all(P >= 0.0)
+        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_run_chain_memory_is_bounded_by_a_chunk():
+    # one-shot draws of 500k picks and uniforms would hold 8 MB of arrays
+    # alone, before their conversion to lists
+    lo, hi = required_window(BOX3, CORNER_PIN)
+    p = sample_potential(PotentialModel("uniform", 1.0, 1), (lo, hi))
+    tracemalloc.start()
+    try:
+        run_chain(BOX3, CORNER_PIN, p, 500_000, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

@@ -370,6 +370,9 @@ def martingale_audit(
     walk = [tuple(v) for v in path]
     if len(walk) < 1:
         raise ValueError("empty walk")
+    for v in walk:
+        if v not in region:
+            raise ValueError(f"walk vertex {v} lies outside the region")
     if walk[0] not in pinned_f:
         raise ValueError(f"walk must start at a pinned vertex, got {walk[0]}")
     for a, b in zip(walk, walk[1:]):

@@ -269,11 +269,19 @@ def annealed_member_probabilities(
     samples: int = 0,
     first_draw: int = 0,
 ) -> np.ndarray:
-    """Annealed probability of each member of the extension set."""
-    probs, weights, _ = _annealed_weights_by_potential(
-        support, model, mode, samples, first_draw
-    )
-    return weights @ probs
+    """Annealed probability of each member of the extension set.
+
+    The law is computed once per (model, mode, samples, first_draw) and
+    kept on ``support``; every call returns a fresh copy of it.
+    """
+    key = (model, mode, samples, first_draw)
+    law = support._annealed_laws.get(key)
+    if law is None:
+        probs, weights, _ = _annealed_weights_by_potential(
+            support, model, mode, samples, first_draw
+        )
+        law = support._annealed_laws[key] = weights @ probs
+    return law.copy()
 
 
 def check_relative_complement_identity(

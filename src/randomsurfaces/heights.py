@@ -11,8 +11,10 @@ by more than the within-region graph distance.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -89,8 +91,22 @@ class HeightFunction:
             raise ValueError("domain and heights must have equal length")
         if not self.domain:
             raise ValueError("height function needs a nonempty domain")
-        if list(self.domain) != sorted(self.domain):
-            raise ValueError("domain must be sorted lexicographically")
+        d = self.domain
+        if not all(map(operator.lt, d, d[1:])):
+            raise ValueError(
+                "domain must be sorted lexicographically without repeats"
+            )
+
+    @classmethod
+    def _trusted(
+        cls, domain: tuple[Vertex, ...], heights: tuple[int, ...]
+    ) -> "HeightFunction":
+        """Build without the checks, for a domain known to be a sorted
+        ``region.vertex_list`` and heights aligned with it."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "domain", domain)
+        object.__setattr__(f, "heights", heights)
+        return f
 
     @classmethod
     def from_dict(cls, values: Mapping[Vertex, int]) -> "HeightFunction":
@@ -290,7 +306,8 @@ class ExtensionSet:
     """All extensions of pinned data to a region, in lexicographic order.
 
     ``members`` are sorted by their value tuple (aligned with
-    ``region.vertex_list``), so any two ExtensionSets over the same
+    ``region.vertex_list``), the order in which ``enumerate_extensions``
+    grows them level by level, so any two ExtensionSets over the same
     region whose members are shifts of one another align index by index.
     """
 
@@ -321,61 +338,84 @@ class ExtensionSet:
     def _member_index(self) -> dict[tuple[int, ...], int]:
         return {m.heights: i for i, m in enumerate(self.members)}
 
+    @cached_property
+    def _annealed_laws(self) -> dict[tuple, np.ndarray]:
+        """Annealed member laws by (model, mode, samples, first_draw).
+
+        Filled by ``gibbs.annealed_member_probabilities``.
+        """
+        return {}
+
+
+_MEMBER_CHUNK = 1024  # rows turned into member tuples at a time
+_TWO_CANDIDATES = np.array([0, 2], dtype=np.int8)  # offsets lo and lo + 2
+
 
 def enumerate_extensions(
     region: Region, pinned: Mapping[Vertex, int]
 ) -> ExtensionSet:
-    """Depth-first enumeration of M(region; pinned).
+    """Level-synchronous enumeration of M(region; pinned).
 
     Pinned data must be a nonempty valid height function on its induced
-    adjacency.  Candidate values at each vertex are intersected with the
-    min/max envelopes before branching, so dead subtrees are never
-    entered; an inextendable pinned set yields the empty set (not an
-    error).  Members come out sorted lexicographically by value tuple.
+    adjacency; an inextendable pinned set yields the empty set (not an
+    error).  All partial assignments grow together, one vertex of
+    ``region.vertex_list`` at a time: at a free vertex each partial
+    branches into the values lo, lo+2, ..., hi allowed by the min/max
+    envelopes and by its earlier neighbours, and a partial with no value
+    left is dropped.  Parents keep their order and their children ascend,
+    so members come out sorted lexicographically by value tuple.  Heights
+    are held as offsets from the lowest envelope value, in the narrowest
+    integer type that holds the window.
     """
     vals = _pinned_map(region, pinned)
-    pinned_f = HeightFunction.from_dict(vals)
+    pinned_f = as_height_function(pinned)
     n = len(region.vertex_list)
     env_low, env_high = _envelopes(region, vals)
     if (env_low > env_high).any():  # exactly when a pinned gap is too wide
         return ExtensionSet(region, pinned_f, ())
 
-    assigned = [0] * n
+    base = int(env_low.min())
+    low = (env_low - base).tolist()
+    high = (env_high - base).tolist()
+    # offsets lie in [0, span]; the bounds below reach -1 and span + 1,
+    # the second candidate lo + 2 up to span + 2
+    dtype = np.min_scalar_type(-(max(high) + 3))
     fixed = [False] * n
+    partials = np.zeros((1, n), dtype=dtype)
     for v, z in vals.items():
         i = region.position(v)
-        assigned[i] = z
+        partials[0, i] = z - base
         fixed[i] = True
 
     nbrs = region._neighbor_positions
-    members: list[tuple[int, ...]] = []
-
-    def rec(i: int) -> None:
-        if i == n:
-            members.append(tuple(assigned))
-            return
-        earlier = [j for j in nbrs[i] if j < i or fixed[j]]
+    for i in range(n):
         if fixed[i]:
-            rec(i + 1)
-            return
-        lo, hi = int(env_low[i]), int(env_high[i])
-        for j in earlier:
-            zj = assigned[j]
-            lo = max(lo, zj - 1)
-            hi = min(hi, zj + 1)
-        # the envelopes and all zj +- 1 have the vertex's parity, so the
-        # candidates are exactly lo, lo+2, ..., hi; each differs by 1
-        # from every already-assigned neighbor automatically
-        for z in range(lo, hi + 1, 2):
-            assigned[i] = z
-            rec(i + 1)
-        assigned[i] = 0
+            continue
+        # a pinned neighbour's bound is already in the envelopes
+        earlier = [j for j in nbrs[i] if j < i]
+        if earlier:
+            # every candidate is within 1 of each earlier neighbour, so
+            # there are at most two: lo and lo + 2, kept while <= hi
+            near = partials[:, earlier]
+            lo = np.maximum(np.maximum.reduce(near, axis=1) - 1, low[i])
+            hi = np.minimum(np.minimum.reduce(near, axis=1) + 1, high[i])
+            cand = lo[:, None] + _TWO_CANDIDATES
+            keep = cand <= hi[:, None]
+            partials = partials.repeat(2, axis=0)[keep.ravel()]
+            partials[:, i] = cand[keep]
+        else:
+            cand = np.arange(low[i], high[i] + 1, 2)
+            partials = partials.repeat(len(cand), axis=0)
+            partials[:, i] = np.tile(cand, len(partials) // len(cand))
 
-    rec(0)
-    out = tuple(
-        HeightFunction(region.vertex_list, m) for m in members
-    )
-    return ExtensionSet(region, pinned_f, out)
+    domain = region.vertex_list
+    members = []
+    for k in range(0, len(partials), _MEMBER_CHUNK):
+        chunk = partials[k : k + _MEMBER_CHUNK].astype(np.int64)
+        chunk += base
+        rows = zip(*chunk.T.tolist())
+        members.extend(map(HeightFunction._trusted, repeat(domain), rows))
+    return ExtensionSet(region, pinned_f, tuple(members))
 
 
 def enumerate_extensions_unpruned(

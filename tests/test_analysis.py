@@ -298,6 +298,17 @@ class TestMartingaleAudit:
         with pytest.raises(ValueError):
             martingale_audit(BOX3, RING3, [], PotentialModel("zero"))
 
+    def test_walk_leaving_the_region_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("enumerated before checking the walk")
+
+        monkeypatch.setattr(analysis, "enumerate_extensions", no_work)
+        monkeypatch.setattr(analysis, "annealed_member_probabilities", no_work)
+        with pytest.raises(ValueError, match=r"\(-1, 0\) lies outside"):
+            martingale_audit(
+                BOX3, RING3, [(0, 0), (-1, 0)], PotentialModel("zero")
+            )
+
 
 class TestWalks:
     def test_3x3_walks(self):

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from randomsurfaces.gibbs import (
     annealed_expectation,
@@ -43,7 +44,12 @@ from randomsurfaces.heights import (
     parity_height,
 )
 from randomsurfaces.lattice import Region, boundary, make_box, relative_boundary
-from randomsurfaces.potential import Potential, PotentialModel, sample_potential
+from randomsurfaces.potential import (
+    Potential,
+    PotentialModel,
+    enumerate_potentials,
+    sample_potential,
+)
 
 PATH3 = make_box((0,), (2,))
 PATH5 = make_box((0,), (4,))
@@ -233,6 +239,123 @@ class TestAnnealed:
             annealed_expectation(
                 PATH3, PIN3, PotentialModel("uniform", 1.0), lambda g: g[(1,)]
             )
+
+
+def uncached_annealed_law(support, model, mode="exact", samples=0, first_draw=0):
+    """The annealed member law as computed before it was kept per support:
+    one quenched law per potential, normalised row by row, then averaged."""
+    lo, hi = required_window(support.region, support.pinned)
+    mins = edge_min_matrix(support)
+    if mode == "exact":
+        pots = enumerate_potentials(model, (lo, hi))
+        potentials = [p for p, _ in pots]
+        weights = np.asarray([w for _, w in pots])
+    else:
+        potentials = [
+            sample_potential(model, (lo, hi), draw=first_draw + i)
+            for i in range(samples)
+        ]
+        weights = np.full(samples, 1.0 / samples)
+    probs = np.empty((len(potentials), len(support)))
+    for i, p in enumerate(potentials):
+        lw = p.values_at(mins).sum(axis=1)
+        probs[i] = np.exp(lw - logsumexp(lw))
+    return weights @ probs
+
+
+def uncached_levels(support, probs, walk):
+    """Martingale levels by the audit's own grouping, from a given law."""
+    region = support.region
+    vals = support.members_array[:, [region.position(v) for v in walk]]
+    target = support.members_array[:, region.position(walk[-1])].astype(float)
+    levels = []
+    for k in range(len(walk) + 1):
+        acc = {}
+        for row, pr, tv in zip(vals, probs, target):
+            mass_sum = acc.setdefault(tuple(int(z) for z in row[:k]), [0.0, 0.0])
+            mass_sum[0] += pr
+            mass_sum[1] += pr * tv
+        levels.append({key: (m, w / m) for key, (m, w) in acc.items()})
+    return tuple(levels)
+
+
+class TestAnnealedLawKeptPerSupport:
+    BOX5 = make_box((0, 0), (4, 4))
+    RING5 = parity_height(BOX5).restrict(boundary(BOX5))
+
+    def test_repeated_calls_equal_a_fresh_computation(self):
+        support = enumerate_extensions(self.BOX5, self.RING5)
+        model = PotentialModel("twopoint", 0.7, 3)
+        fresh = uncached_annealed_law(support, model)
+        for _ in range(3):
+            assert np.array_equal(
+                annealed_member_probabilities(support, model), fresh
+            )
+        other = enumerate_extensions(self.BOX5, self.RING5)
+        assert np.array_equal(annealed_member_probabilities(other, model), fresh)
+
+    def test_mutating_a_result_leaves_the_next_one(self):
+        support = enumerate_extensions(PATH5, {(0,): 0, (4,): 0})
+        model = PotentialModel("twopoint", 0.5)
+        first = annealed_member_probabilities(support, model)
+        kept = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(annealed_member_probabilities(support, model), kept)
+
+    def test_each_mode_and_draw_has_its_own_law(self):
+        support = enumerate_extensions(self.BOX5, self.RING5)
+        model = PotentialModel("twopoint", 0.7, 3)
+        cases = [
+            ("exact", 0, 0),
+            ("mc", 5, 0),
+            ("mc", 5, 1),
+            ("mc", 6, 0),
+        ]
+        laws = [
+            annealed_member_probabilities(support, model, mode, samples, draw)
+            for mode, samples, draw in cases
+        ]
+        for (mode, samples, draw), law in zip(cases, laws):
+            assert np.array_equal(
+                law, uncached_annealed_law(support, model, mode, samples, draw)
+            )
+        for i in range(len(laws)):
+            for j in range(i):
+                assert not np.array_equal(laws[i], laws[j])
+        again = annealed_member_probabilities(support, model, "mc", 5, 0)
+        assert np.array_equal(again, laws[1])
+        other_model = PotentialModel("twopoint", 0.7, 4)
+        assert not np.array_equal(
+            annealed_member_probabilities(support, other_model, "mc", 5, 0),
+            laws[1],
+        )
+
+    def test_failed_calls_keep_nothing(self):
+        support = enumerate_extensions(PATH5, {(0,): 0, (4,): 0})
+        model = PotentialModel("twopoint", 0.5)
+        with pytest.raises(ValueError):
+            annealed_member_probabilities(support, model, mode="mc", samples=0)
+        with pytest.raises(ValueError):
+            annealed_member_probabilities(support, model, mode="bogus")
+        assert support._annealed_laws == {}
+
+    def test_audit_levels_bit_identical_on_the_5x5_ring(self):
+        from randomsurfaces.analysis import (
+            boundary_to_interior_walks,
+            martingale_audit,
+        )
+
+        support = enumerate_extensions(self.BOX5, self.RING5)
+        model = PotentialModel("twopoint", 0.9, 0)
+        law = uncached_annealed_law(support, model)
+        interior = sorted(set(self.BOX5.vertex_list) - set(self.RING5.domain))
+        walks = boundary_to_interior_walks(self.BOX5, self.RING5.domain, interior)
+        assert len(walks) > 100
+        for walk in walks:
+            audit = martingale_audit(
+                self.BOX5, self.RING5, walk, model, support=support
+            )
+            assert audit.levels == uncached_levels(support, law, walk)
 
 
 class TestIdentities:

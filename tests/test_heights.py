@@ -120,6 +120,14 @@ class TestHeightFunction:
         assert arr.dtype == np.int64
         assert arr.tolist() == [-1, 0]
 
+    def test_duplicate_vertex_rejected(self):
+        with pytest.raises(ValueError, match="without repeats"):
+            HeightFunction(((0, 0), (0, 0)), (0, 0))
+
+    def test_unsorted_domain_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            HeightFunction(((0, 1), (0, 0)), (1, 0))
+
 
 class TestParity:
     def test_parity_height_values(self):
@@ -305,6 +313,136 @@ class TestEnumeration:
         assert len(base) == len(raised)
         for lo, hi in zip(base.members, raised.members):
             assert hi.heights == tuple(z + 2 for z in lo.heights)
+
+
+def depth_first_extensions(region, pinned):
+    """The depth-first enumeration ``enumerate_extensions`` used to run.
+
+    Kept as an oracle for the level-synchronous expansion: members as
+    value tuples, in the order the recursion reached them.
+    """
+    vals = {tuple(v): int(z) for v, z in pinned.items()}
+    n = len(region)
+    if not kirszbraun_extendable(region, vals):
+        return []
+    lo_f, hi_f = min_max_extensions(region, vals)
+    env_low, env_high = lo_f.heights, hi_f.heights
+    assigned = [0] * n
+    fixed = [False] * n
+    for v, z in vals.items():
+        i = region.position(v)
+        assigned[i] = z
+        fixed[i] = True
+    members = []
+
+    def rec(i):
+        if i == n:
+            members.append(tuple(assigned))
+            return
+        earlier = [j for j in region.neighbor_positions(i) if j < i or fixed[j]]
+        if fixed[i]:
+            rec(i + 1)
+            return
+        lo, hi = env_low[i], env_high[i]
+        for j in earlier:
+            lo = max(lo, assigned[j] - 1)
+            hi = min(hi, assigned[j] + 1)
+        for z in range(lo, hi + 1, 2):
+            assigned[i] = z
+            rec(i + 1)
+        assigned[i] = 0
+
+    rec(0)
+    return members
+
+
+def assert_same_as_depth_first(region, pins, want=None):
+    """enumerate_extensions gives the oracle's members, in its order."""
+    got = enumerate_extensions(region, pins)
+    if want is None:
+        want = depth_first_extensions(region, pins)
+    assert [m.heights for m in got.members] == want
+    assert all(m.domain == region.vertex_list for m in got.members)
+    assert all(type(z) is int for m in got.members[:50] for z in m.heights)
+    return len(want)
+
+
+@pytest.fixture(scope="module")
+def depth_first_members(metric_instances):
+    return [depth_first_extensions(r, pins) for r, pins, _ in metric_instances]
+
+
+class TestLevelSynchronousEnumeration:
+    def test_matches_depth_first_on_random_instances(
+        self, metric_instances, depth_first_members
+    ):
+        for (region, pins, _), want in zip(metric_instances, depth_first_members):
+            assert_same_as_depth_first(region, pins, want)
+        counts = [len(w) for w in depth_first_members]
+        assert 0 < counts.count(0) < len(counts)
+        assert sum(counts) > 100_000
+
+    @pytest.mark.parametrize("offset", [10**9, -(10**9)])
+    def test_matches_depth_first_far_from_zero(
+        self, metric_instances, depth_first_members, offset
+    ):
+        # the oracle is plain integer arithmetic, so shifting its members
+        # is its answer for the shifted pins; the few instances with more
+        # than 10,000 members are left to the test above, for time
+        checked = 0
+        for (region, pins, _), want in zip(metric_instances, depth_first_members):
+            if len(want) > 10_000:
+                continue
+            checked += 1
+            far = {v: z + offset for v, z in pins.items()}
+            shifted = [tuple(z + offset for z in m) for m in want]
+            assert_same_as_depth_first(region, far, shifted)
+        assert checked > 290
+
+    def test_infeasible_pins_give_empty_set(self):
+        assert assert_same_as_depth_first(BOX3, GAP_PIN) == 0
+        assert enumerate_extensions(BOX3, GAP_PIN).members_array.shape == (0, 9)
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 12])
+    def test_matches_depth_first_on_paths(self, length):
+        path = make_box((0,), (length - 1,))
+        end = length - 1
+        assert assert_same_as_depth_first(path, {(0,): 0}) == 2**end
+        assert_same_as_depth_first(path, {(0,): 0, (end,): end % 2 + 2 * (end // 4)})
+        assert_same_as_depth_first(path, {(end // 2,): 10**9 + end // 2 % 2})
+
+    def test_window_wider_than_int8(self):
+        # 149 steps from 0 up to 147: one step down, 149 places for it;
+        # the envelopes span -1..148, so offsets need 16 bits
+        path = make_box((0,), (149,))
+        ends = {(0,): 0, (149,): 147}
+        assert assert_same_as_depth_first(path, ends) == 149
+        far = {v: z - 10**9 for v, z in ends.items()}
+        assert assert_same_as_depth_first(path, far) == 149
+
+    def test_matches_depth_first_on_a_cube(self):
+        cube = make_box((0, 0, 0), (2, 2, 2))
+        corners = {v: sum(v) % 2 for v in cube if all(c in (0, 2) for c in v)}
+        assert assert_same_as_depth_first(cube, corners) == 12_422
+        far = {v: z + 10**9 for v, z in corners.items()}
+        assert assert_same_as_depth_first(cube, far) == 12_422
+        ring = parity_height(cube).restrict(boundary(cube))
+        assert assert_same_as_depth_first(cube, ring) == 2
+        steep = {(0, 0, 0): 10**9, (2, 2, 2): 10**9 + 6}
+        assert assert_same_as_depth_first(cube, steep) == 1
+
+    def test_fully_pinned_region_has_one_member(self):
+        f = parity_height(BOX3)
+        got = enumerate_extensions(BOX3, f)
+        assert got.members == (f,)
+
+    def test_seven_by_seven_parity_ring(self):
+        box = make_box((0, 0), (6, 6))
+        got = enumerate_extensions(box, parity_height(box).restrict(boundary(box)))
+        assert len(got) == 64_914
+        rows = [m.heights for m in got.members]
+        assert rows == sorted(rows)
+        assert len(set(rows)) == len(rows)
 
 
 class TestStructuralInvariants:

@@ -509,6 +509,16 @@ class ExperimentConfig:
     start: str = "mid"
     seed: int = 0
 
+    def __post_init__(self):
+        for key in ("tail_samples", "mean_draws", "mean_samples_per_draw"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+        for key in ("burn_factor", "thin_factor"):
+            value = getattr(self, key)
+            if not value >= 0:  # also rejects nan
+                raise ValueError(f"{key} must be >= 0, got {value}")
+
 
 @dataclass(frozen=True)
 class ReportRow:

@@ -145,6 +145,9 @@ def _fmt_vertex(v) -> str:
 def _cmd_surface(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    for flag in ("steps", "sweeps"):
+        if (getattr(args, flag) or 0) < 0:
+            raise UsageError(f"--{flag} must be >= 0")
     region = lattice.make_box((0, 0), (args.n - 1, args.n - 1))
     data = _load_boundary(args, region)
     model = _model(args)

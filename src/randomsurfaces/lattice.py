@@ -307,16 +307,16 @@ def outer_extension(region: Region) -> Region:
 
 
 def boundary(region: Region) -> set[Vertex]:
-    """Vertices of the region with at least one lattice neighbor outside it."""
-    steps = _unit_steps(region.dimension)
-    out = set()
-    for v in region.vertex_list:
-        for s in steps:
-            w = tuple(a + b for a, b in zip(v, s))
-            if w not in region.vertex_set:
-                out.add(v)
-                break
-    return out
+    """Vertices of the region with at least one lattice neighbor outside it.
+
+    Those are exactly the vertices of in-region degree below 2m.
+    """
+    full = 2 * region.dimension
+    return {
+        v
+        for v, nb in zip(region.vertex_list, region._neighbor_positions)
+        if len(nb) < full
+    }
 
 
 def relative_boundary(region: Region, sub: Iterable[Vertex]) -> set[Vertex]:

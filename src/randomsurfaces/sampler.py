@@ -15,12 +15,14 @@ rule "take the upper candidate iff u < P(upper)" with a shared uniform u
 and shared vertex choice couples two chains so that a pointwise height
 ordering is preserved forever.
 
-Two engines are provided: a single-site chain on arbitrary regions
-(``run_chain``, ``coupled_run``, ``glauber_step``; a Python loop over
-lists that draws its picks and uniforms in fixed chunks, with
-``transition_matrix`` as its exact kernel), and a vectorized
-checkerboard-sweep engine for 2D boxes that runs many chains in
-parallel (``BoxGlauber``).  Both have the same stationary law (on a
+Two engines are provided, both on any region in any dimension: a
+single-site chain (``run_chain``, ``coupled_run``, ``glauber_step``; a
+Python loop over lists that draws its picks and uniforms in fixed
+chunks, with ``transition_matrix`` as its exact kernel), and a
+vectorized checkerboard-sweep engine that runs many chains in parallel
+(``BoxGlauber``; heights stored sites-major with the free sites of each
+parity in one contiguous block, so a half-sweep is one neighbour gather
+and one block write).  Both have the same stationary law (on a
 bipartite graph, same-parity sites have disjoint neighborhoods, so a
 half-sweep is a composition of commuting heat-bath kernels).
 """
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
+from itertools import chain
+from math import prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -111,6 +115,11 @@ def _up_probability(
     return mn, (row[mn - plo] if mn == mx else 1.0)
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ValueError(f"number of steps must be >= 0, got {steps}")
+
+
 def _start_state(
     region: Region, pinned: Mapping[Vertex, int], p: Potential
 ) -> ChainState:
@@ -166,6 +175,7 @@ def run_chain(
     rng: np.random.Generator,
 ) -> HeightFunction:
     """Run single-site Glauber from the minimal extension; return the end state."""
+    _check_steps(steps)
     state = _start_state(region, pinned, p)
     free, nbrs, rows = _single_site_plan(region, state.pinned, p)
     if not free or steps == 0:
@@ -195,6 +205,7 @@ def coupled_run(
     keeps them ordered at every step (checked, raising AssertionError
     on violation — which would indicate a broken update rule).
     """
+    _check_steps(steps)
     s_low = _start_state(region, pinned_low, p)
     s_high = _start_state(region, pinned_high, p)
     if s_low.pinned.domain != s_high.pinned.domain:
@@ -273,22 +284,40 @@ def transition_matrix(mu: QuenchedMeasure) -> np.ndarray:
 
 
 class BoxGlauber:
-    """Vectorized checkerboard heat-bath on a 2D box, batched over chains.
+    """Vectorized checkerboard heat-bath on any region, batched over chains.
 
     Runs one chain per potential in ``potentials`` (all sharing a
-    window), each started at the minimal extension of the pinned data.
-    A sweep updates all even-parity free sites simultaneously, then all
-    odd-parity ones; within a half-sweep the updated sites are mutually
-    non-adjacent, so the parallel update equals a product of single-site
-    heat baths.
+    window), each started at the minimal extension of the pinned data
+    (``start="low"``) or at a flat surface clipped between the envelopes
+    (``start="mid"``).  A sweep updates all free sites of even ambient
+    parity (coordinate sum) simultaneously, then all odd ones; within a
+    half-sweep the updated sites are mutually non-adjacent, so the
+    parallel update equals a product of single-site heat baths.
 
     Each update is the closed form of the heat bath: with mn and mx the
-    lowest and highest of a site's in-box neighbours, the new height is
-    mn + 1 when mx = mn + 2, and otherwise mn + 1 with probability
-    expit(k (omega_mn - omega_{mn-1})) (k in-box neighbours), else
-    mn - 1.  Those probabilities are looked up in a per-potential table
-    built once.  A uniform is drawn for every updated site, forced or
-    not, so the random stream depends only on the batch and the box.
+    lowest and highest of a site's k in-region neighbours, the new
+    height is mn + 1 when mx = mn + 2, and otherwise mn + 1 with
+    probability expit(k (omega_mn - omega_{mn-1})), else mn - 1.  Those
+    probabilities are looked up in a per-potential table built once.  A
+    uniform is drawn for every updated site, forced or not, as one
+    (batch, sites) block per half-sweep with the sites in vertex order,
+    so the random stream depends only on the batch and the region.
+
+    Heights are stored sites-major, one row of ``batch`` chains per site,
+    in the narrowest signed integer type that holds the window +-2.  The
+    rows are permuted so that the free sites of each parity form one
+    contiguous block (vertex order within it) and the pinned sites come
+    last; a half-sweep gathers each free site's neighbour rows through a
+    (k, sites) slot matrix, padded by repeating a real neighbour, and
+    writes the new heights into its block's rows in place.
+
+    ``height_matrix()`` (int64, rows aligned with ``region.vertex_list``)
+    and ``heights`` undo the permutation on each call.  On a box, in
+    particular a 2D one, ``shape`` is its side lengths, ``low`` its lowest
+    corner, ``pinned_mask`` a boolean array of that shape and ``heights``
+    a (batch, *shape) array; on other regions ``shape`` is
+    ``(len(region),)``, ``low`` the coordinatewise minimum and both arrays
+    follow ``region.vertex_list``.
     """
 
     def __init__(
@@ -299,19 +328,14 @@ class BoxGlauber:
         rng: np.random.Generator,
         start: str = "low",
     ):
-        if region.dimension != 2:
-            raise ValueError("BoxGlauber runs on 2D boxes")
-        arr = np.asarray(region.vertex_list, dtype=np.int64)
-        lows = arr.min(axis=0)
-        highs = arr.max(axis=0)
-        if not region.is_box():
-            raise ValueError("BoxGlauber needs a full box region")
         if not potentials:
             raise ValueError("need at least one potential")
         win = potentials[0].window
         for p in potentials:
             if p.window != win:
                 raise ValueError("all potentials must share one window")
+        if start not in ("low", "mid"):
+            raise ValueError(f"start must be 'low' or 'mid', got {start!r}")
         lo_f, hi_f = min_max_extensions(region, pinned)
         need_lo, need_hi = _edge_window(min(lo_f.heights), max(hi_f.heights))
         if not potentials[0].covers(need_lo, need_hi):
@@ -320,97 +344,103 @@ class BoxGlauber:
                 f"[{need_lo}, {need_hi}]"
             )
 
+        coords = np.asarray(region.vertex_list, dtype=np.int64)
+        lows = coords.min(axis=0)
+        sides = tuple(int(s) for s in coords.max(axis=0) - lows + 1)
         self.region = region
-        self.low = int(lows[0]), int(lows[1])
-        self.shape = (int(highs[0] - lows[0] + 1), int(highs[1] - lows[1] + 1))
-        n0, n1 = self.shape
         self.batch = len(potentials)
         self.rng = rng
+        self.low = tuple(int(a) for a in lows)
+        # a region fills its bounding box iff it has as many vertices
+        self.shape = sides if len(region) == prod(sides) else (len(region),)
+        pinned_flat = np.zeros(len(region), dtype=bool)
+        pinned_flat[
+            [region.position(v) for v in as_height_function(pinned).domain]
+        ] = True
+        self.pinned_mask = pinned_flat.reshape(self.shape)
 
-        self.pinned_mask = np.zeros(self.shape, dtype=bool)
-        for v in as_height_function(pinned).domain:
-            self.pinned_mask[v[0] - self.low[0], v[1] - self.low[1]] = True
-
-        low_grid = np.asarray(lo_f.heights, dtype=np.int64).reshape(self.shape)
+        parity = coords.sum(axis=1) % 2
+        low = np.asarray(lo_f.heights, dtype=np.int64)
         if start == "low":
-            init = low_grid
-        elif start == "mid":
+            init = low
+        else:
             # clip a flat parity-adjusted plane between the envelopes: the
             # median of three height functions is again a height function,
             # and this start sits near the equilibrium plateau
-            high_grid = np.asarray(hi_f.heights, dtype=np.int64).reshape(
-                self.shape
-            )
-            t = int(np.round((low_grid + high_grid).mean() / 2.0))
-            ii, jj = np.meshgrid(
-                np.arange(n0) + self.low[0],
-                np.arange(n1) + self.low[1],
-                indexing="ij",
-            )
-            flat = t + ((t + ii + jj) % 2)
-            init = np.clip(flat, low_grid, high_grid)
-        else:
-            raise ValueError(f"start must be 'low' or 'mid', got {start!r}")
-        self.flat = np.broadcast_to(
-            init.reshape(-1), (self.batch, n0 * n1)
-        ).copy()
+            high = np.asarray(hi_f.heights, dtype=np.int64)
+            t = int(np.round((low + high).mean() / 2.0))
+            init = np.clip(t + (t + parity) % 2, low, high)
 
-        # table (batch, k, z - lo), flattened; chain b at a site with k
-        # in-box neighbours reads it at z + base[b, site]
-        offsets = ((-1, 0), (1, 0), (0, -1), (0, 1))
-        tab = _flip_table(
-            np.stack([p.values for p in potentials]), len(offsets)
+        # sites-major storage: free sites of parity 0, of parity 1, pinned
+        blocks = [
+            np.flatnonzero(~pinned_flat & (parity == par)) for par in (0, 1)
+        ]
+        order = np.concatenate(blocks + [np.flatnonzero(pinned_flat)])
+        self._slot = np.empty_like(order)  # vertex position -> storage row
+        self._slot[order] = np.arange(order.size)
+        dtype = next(
+            t for t in (np.int8, np.int16, np.int32, np.int64)
+            if np.iinfo(t).min <= win[0] - 2 and win[1] + 2 <= np.iinfo(t).max
         )
-        self._table = tab.reshape(-1)
-        brow = np.arange(self.batch, dtype=np.intp)[:, None] * tab[0].size
+        self._h = np.repeat(init[order].astype(dtype)[:, None], self.batch, 1)
 
-        # per parity: flat indices of updatable sites, their four neighbour
-        # slots (an off-box slot repeats an in-box neighbour, which leaves
-        # min and max unchanged) and their table bases; parity follows
-        # ambient coordinates
-        self._upd: list[np.ndarray] = []
-        self._nbr: list[np.ndarray] = []  # (dirs, sites) index matrix
-        self._base: list[np.ndarray] = []  # (batch, sites)
-        ii, jj = np.meshgrid(np.arange(n0), np.arange(n1), indexing="ij")
-        site_parity = (ii + self.low[0] + jj + self.low[1]) % 2
-        for par in (0, 1):
-            sel = (site_parity == par) & ~self.pinned_mask
-            si, sj = np.nonzero(sel)
-            self._upd.append((si * n1 + sj).astype(np.intp))
-            nbrs, oks = [], []
-            for di, dj in offsets:
-                ti, tj = si + di, sj + dj
-                oks.append((0 <= ti) & (ti < n0) & (0 <= tj) & (tj < n1))
-                nbrs.append(ti * n1 + tj)
-            ok = np.stack(oks)
-            nbr = np.stack(nbrs)
-            first = nbr[ok.argmax(axis=0), np.arange(si.size)]
-            self._nbr.append(np.where(ok, nbr, first).astype(np.intp))
-            k = ok.sum(axis=0)
+        # per free site: its in-region neighbours' rows, padded to the
+        # largest degree by repeating the first (min and max unchanged)
+        nbrs = region._neighbor_positions
+        deg = np.fromiter(map(len, nbrs), dtype=np.intp, count=len(region))
+        adj = np.fromiter(
+            chain.from_iterable(nbrs), dtype=np.intp, count=int(deg.sum())
+        )
+        first = np.cumsum(deg) - deg
+        kmax = int(deg.max())
+        cols = np.arange(kmax)
+        # table (batch, k, z - lo), flattened; chain b at a site with k
+        # in-region neighbours reads it at z + base[site, b]
+        tab = _flip_table(np.stack([p.values for p in potentials]), kmax)
+        self._table = tab.reshape(-1)
+        brow = np.arange(self.batch, dtype=np.intp) * tab[0].size
+        self._blocks: list[slice] = []
+        self._slots: list[np.ndarray] = []  # (k, sites) storage rows
+        self._base: list[np.ndarray] = []  # (sites, batch)
+        top = 0
+        for sites in blocks:
+            self._blocks.append(slice(top, top + sites.size))
+            top += sites.size
+            k = deg[sites, None]
+            idx = first[sites, None] + np.where(cols < k, cols, 0)
+            self._slots.append(np.ascontiguousarray(self._slot[adj[idx]].T))
             self._base.append(brow + (k * tab.shape[-1] - win[0]))
 
     def half_sweep(self, parity: int) -> None:
-        upd = self._upd[parity]
-        if upd.size == 0:
+        slots = self._slots[parity]
+        if slots.shape[1] == 0:
             return
-        cur = self.flat
-        nvs = cur[:, self._nbr[parity]]  # (batch, dirs, sites)
-        mn = nvs.min(axis=1)
-        mx = nvs.max(axis=1)
-        p_up = self._table[mn + self._base[parity]]
-        u = self.rng.random((self.batch, upd.size))
-        cur[:, upd] = mn + 1 - 2 * ((mx == mn) & (u >= p_up))
+        h = self._h
+        nvs = h.take(slots, axis=0)  # (k, sites, batch)
+        mn = np.minimum.reduce(nvs)
+        mx = np.maximum.reduce(nvs)
+        p_up = self._table.take(mn + self._base[parity])
+        down = self.rng.random((self.batch, slots.shape[1])).T >= p_up
+        down &= mx == mn
+        # new height mn + 1 - 2 down, written in place into the block's rows
+        out = h[self._blocks[parity]]
+        np.add(mn, 1, out=out)
+        out -= down
+        out -= down
 
     def sweep(self, n: int = 1) -> None:
+        if n < 0:
+            raise ValueError(f"number of sweeps must be >= 0, got {n}")
         for _ in range(n):
             self.half_sweep(0)
             self.half_sweep(1)
 
     @property
     def heights(self) -> np.ndarray:
-        """(batch, n0, n1) view of the current configurations."""
-        return self.flat.reshape(self.batch, *self.shape)
+        """(batch, *shape) int64 copy of the current configurations."""
+        return self.height_matrix().reshape(self.batch, *self.shape)
 
     def height_matrix(self) -> np.ndarray:
-        """(batch, region size) heights aligned with region.vertex_list."""
-        return self.flat.copy()
+        """(batch, region size) int64 heights aligned with region.vertex_list."""
+        rows = np.take(self._h, self._slot, axis=0)
+        return rows.T.astype(np.int64, order="C")

@@ -463,6 +463,29 @@ class TestBoundaryDataAndConfig:
         assert cfg.mean_draws == 200
         assert cfg.start == "mid"
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("tail_samples", 0),
+            ("mean_draws", 0),
+            ("mean_samples_per_draw", 0),
+            ("mean_samples_per_draw", -2),
+            ("burn_factor", -0.5),
+            ("thin_factor", -0.125),
+            ("thin_factor", float("nan")),
+        ],
+    )
+    def test_experiment_rejects_bad_counts(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**{key: value})
+
+    def test_experiment_accepts_smallest_counts(self):
+        cfg = ExperimentConfig(
+            tail_samples=1, mean_draws=1, mean_samples_per_draw=1,
+            burn_factor=0.0, thin_factor=0.0,
+        )
+        assert cfg.tail_samples == 1 and cfg.thin_factor == 0.0
+
     def test_report_row_slack(self):
         assert ReportRow(3, 1.0, 0, 0.0, 0.5, 0.0).slack() == 0.0
         # zero-count floor: 3 * sqrt((1/400)/400) = 3/400

@@ -167,6 +167,16 @@ class TestSurface:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--steps", "--sweeps"])
+    def test_negative_count_rejected(self, tmp_path, capsys, flag):
+        out_file = tmp_path / "x.grid"
+        code, _, err = run(
+            capsys, "surface", "--n", "3", flag, "-3", "--out", str(out_file),
+        )
+        assert code == 1
+        assert flag in err
+        assert not out_file.exists()
+
     def test_bad_model_rejected(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "surface", "--n", "3", "--model", "gauss:s=1",
@@ -221,6 +231,36 @@ class TestConcentration:
         )
         assert code == 1
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize(
+        "line,key",
+        [
+            ("tail_samples = 0", "tail_samples"),
+            ("mean_draws = 0", "mean_draws"),
+            ("mean_samples_per_draw = 0", "mean_samples_per_draw"),
+            ("burn_factor = -1", "burn_factor"),
+            ("thin_factor = -0.5", "thin_factor"),
+        ],
+    )
+    def test_bad_count_exits_1(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("ns = 3\nmode = mc\n" + line + "\n")
+        out_file = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "concentration", "--config", str(cfg),
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert "bad config value" in err and key in err
+        assert out == "" and not out_file.exists()
+
+    def test_zero_samples_flag_exits_1(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "concentration", "--samples", "0",
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 1
+        assert "tail_samples" in err
 
     def test_flag_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -32,6 +32,22 @@ def ring3():
     return Region(v for v in make_box((0, 0), (2, 2)) if v != (1, 1))
 
 
+def boundary_by_scan(region):
+    """Vertices with a lattice neighbour outside the region, by scanning."""
+    m = region.dimension
+    steps = [
+        tuple(s if k == i else 0 for k in range(m))
+        for i in range(m) for s in (1, -1)
+    ]
+    out = set()
+    for v in region.vertex_list:
+        for st in steps:
+            if tuple(a + b for a, b in zip(v, st)) not in region.vertex_set:
+                out.add(v)
+                break
+    return out
+
+
 class TestRegionConstruction:
     def test_box_size_and_order(self):
         box = make_box((0, 0), (2, 2))
@@ -187,6 +203,20 @@ class TestBoundaries:
     def test_path_boundary_is_endpoints(self):
         path = make_box((0,), (4,))
         assert boundary(path) == {(0,), (4,)}
+
+    def test_boundary_matches_lattice_neighbour_scan(self, metric_instances):
+        # the degree form against the scan of every lattice neighbour;
+        # equal insertion order gives equal iteration order too
+        regions = [r for r, _, _ in metric_instances] + [
+            make_box((0, 0, 0), (2, 3, 1)),
+            Region([(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]),
+            make_box((-2,), (3,)),
+            Region([(5, 5)]),
+        ]
+        for region in regions:
+            got = boundary(region)
+            want = boundary_by_scan(region)
+            assert got == want and list(got) == list(want)
 
     def test_relative_boundary_of_the_ring(self):
         # ring vertices adjacent to the center within the box

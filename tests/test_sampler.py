@@ -106,6 +106,17 @@ class TestSingleSiteChain:
         got = run_chain(BOX3, CORNER_PIN, p, 0, np.random.default_rng(0))
         assert got == low
 
+    def test_negative_steps_rejected(self):
+        lo, hi = required_window(BOX3, RING_PIN.shift(2))
+        p = sample_potential(PotentialModel("uniform", 1.0, 1), (lo - 2, hi))
+        with pytest.raises(ValueError, match="steps"):
+            run_chain(BOX3, CORNER_PIN, p, -3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="steps"):
+            coupled_run(
+                BOX3, RING_PIN, RING_PIN.shift(2), p, -3,
+                np.random.default_rng(0),
+            )
+
     def test_run_chain_deterministic(self):
         lo, hi = required_window(BOX3, CORNER_PIN)
         p = sample_potential(PotentialModel("uniform", 1.0, 1), (lo, hi))
@@ -274,11 +285,71 @@ class TestBoxGlauber:
         tv = 0.5 * float(np.abs(counts / B - mu.probabilities).sum())
         assert tv < 0.03
 
-    def test_rejects_non_box(self):
+    def test_fully_pinned_region_is_fixed(self):
+        # the ring around BOX3's centre, every vertex pinned: no site is
+        # updated and no uniform is drawn
         ring = Region(v for v in BOX3 if v != (1, 1))
         p = Potential(0, 1, np.zeros(2))
-        with pytest.raises(ValueError):
-            BoxGlauber(ring, RING_PIN, [p], np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        eng = BoxGlauber(ring, RING_PIN, [p] * 3, rng)
+        eng.sweep(5)
+        want = [RING_PIN[v] for v in ring.vertex_list]
+        assert eng.height_matrix().tolist() == [want] * 3
+        assert rng.bit_generator.state == before
+
+    def test_rejects_negative_sweeps(self):
+        lo, hi = required_window(BOX3, CORNER_PIN)
+        p = sample_potential(PotentialModel("uniform", 1.0, 3), (lo, hi))
+        eng = BoxGlauber(BOX3, CORNER_PIN, [p], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sweeps"):
+            eng.sweep(-1)
+        eng.sweep(0)
+        assert eng.height_matrix()[0].tolist() == list(
+            min_max_extensions(BOX3, CORNER_PIN)[0].heights
+        )
+
+    def test_box_views(self):
+        # surface and the bench tracer read shape, low, pinned_mask and
+        # heights on 2D boxes: row-major grids with ambient offsets
+        pinned = ring(BOX7)
+        pots = window_potentials(BOX7, pinned, MIXED[:2])
+        eng = BoxGlauber(BOX7, pinned, pots, np.random.default_rng(3))
+        eng.sweep(4)
+        assert eng.shape == (7, 7) and eng.low == (1, 2)
+        mask = np.zeros((7, 7), dtype=bool)
+        for v in pinned.domain:
+            mask[v[0] - 1, v[1] - 2] = True
+        assert np.array_equal(eng.pinned_mask, mask)
+        H = eng.heights
+        assert H.dtype == np.int64
+        assert np.array_equal(H, eng.height_matrix().reshape(2, 7, 7))
+
+    def test_non_box_views_follow_vertex_order(self):
+        pots = window_potentials(L_SHAPE, L_PINS, MIXED[:2])
+        eng = BoxGlauber(L_SHAPE, L_PINS, pots, np.random.default_rng(3))
+        assert eng.shape == (len(L_SHAPE),) and eng.low == (0, 0)
+        assert eng.pinned_mask.tolist() == [
+            v in L_PINS for v in L_SHAPE.vertex_list
+        ]
+        assert np.array_equal(eng.heights, eng.height_matrix())
+
+    def test_matches_exact_measure_on_non_box(self):
+        # the 3x3 box without a corner, 24 members
+        region = Region(v for v in BOX3 if v != (2, 2))
+        mu = measure(region, {(0, 0): 0, (2, 1): 1}, seed=14)
+        B = 20_000
+        eng = BoxGlauber(
+            region, {(0, 0): 0, (2, 1): 1}, [mu.potential] * B,
+            np.random.default_rng(15),
+        )
+        eng.sweep(60)
+        index = {m.heights: i for i, m in enumerate(mu.support.members)}
+        counts = np.zeros(len(mu))
+        for row in eng.height_matrix():
+            counts[index[tuple(int(z) for z in row)]] += 1
+        tv = 0.5 * float(np.abs(counts / B - mu.probabilities).sum())
+        assert tv < 0.03
 
     def test_rejects_mismatched_windows(self):
         lo, hi = required_window(BOX3, RING_PIN)
@@ -379,6 +450,16 @@ def ring(region):
 
 
 BOX7 = make_box((1, 2), (7, 8))  # off the origin: parity follows coordinates
+L_SHAPE = Region(
+    (i, j) for i in range(7) for j in range(7) if i < 4 or j < 4
+)
+L_PINS = {(0, 0): 0, (6, 3): 1, (3, 6): 1}
+HOLED = Region(  # a 6x6 ring around a 2x2 hole
+    (i, j) for i in range(6) for j in range(6)
+    if not (2 <= i <= 3 and 2 <= j <= 3)
+)
+PATH12 = make_box((0,), (11,))
+CUBE3 = make_box((0, 0, 0), (2, 2, 2))
 BOX9 = make_box((0, 0), (8, 8))
 BOX25 = make_box((0, 0), (24, 24))
 MIXED = [
@@ -414,6 +495,75 @@ class TestClosedFormMatchesEnergySums:
         eng.sweep(15)
         assert eng.height_matrix().dtype == np.int64
         assert np.array_equal(eng.height_matrix(), want)
+
+    @pytest.mark.parametrize("start", ["low", "mid"])
+    @pytest.mark.parametrize(
+        "region,pinned",
+        [
+            (L_SHAPE, L_PINS),
+            (L_SHAPE, ring(L_SHAPE)),
+            (HOLED, {(0, 0): 0, (5, 5): 0}),
+            (HOLED, ring(HOLED)),
+            (PATH12, {(0,): 0, (11,): 3}),
+            (PATH12, {(5,): 1}),
+            (CUBE3, {(0, 0, 0): 0, (2, 2, 2): 0}),
+            (CUBE3, ring(CUBE3)),
+            # every odd site pinned: the odd half-sweep has nothing to do
+            (BOX3, parity_height(BOX3).restrict(
+                [v for v in BOX3 if sum(v) % 2])),
+        ],
+        ids=["L-corners", "L-ring", "holed-corners", "holed-ring",
+             "path-ends", "path-one-pin", "cube-corners", "cube-ring",
+             "no-odd-free-site"],
+    )
+    def test_region_sweeps(self, region, pinned, start):
+        pots = window_potentials(region, pinned, MIXED)
+        rng = np.random.default_rng(22)
+        eng = BoxGlauber(region, pinned, pots, rng, start=start)
+        ref_rng = np.random.default_rng(22)
+        want = reference_box_sweeps(
+            region, pinned, eng.height_matrix(), pots, 12, ref_rng
+        )
+        eng.sweep(12)
+        assert np.array_equal(eng.height_matrix(), want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("batch", [1, 2000])
+    def test_batch_sizes(self, batch):
+        pots = window_potentials(
+            L_SHAPE, L_PINS, [MIXED[b % len(MIXED)] for b in range(batch)]
+        )
+        eng = BoxGlauber(L_SHAPE, L_PINS, pots, np.random.default_rng(23),
+                         start="mid")
+        want = reference_box_sweeps(
+            L_SHAPE, L_PINS, eng.height_matrix(), pots, 3,
+            np.random.default_rng(23),
+        )
+        eng.sweep(3)
+        assert np.array_equal(eng.height_matrix(), want)
+
+    @pytest.mark.parametrize(
+        "shift,dtype",
+        [(1000, np.int16), (10**9, np.int32), (-(10**9), np.int32),
+         (3 * 10**9, np.int64)],
+    )
+    def test_far_pins_widen_storage(self, shift, dtype):
+        pinned = {v: z + shift for v, z in L_PINS.items()}
+        pots = window_potentials(L_SHAPE, pinned, MIXED)
+        eng = BoxGlauber(L_SHAPE, pinned, pots, np.random.default_rng(24),
+                         start="mid")
+        assert eng._h.dtype == dtype
+        want = reference_box_sweeps(
+            L_SHAPE, pinned, eng.height_matrix(), pots, 10,
+            np.random.default_rng(24),
+        )
+        eng.sweep(10)
+        got = eng.height_matrix()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        for row in got:
+            f = dict(zip(L_SHAPE.vertex_list, row.tolist()))
+            assert validate(L_SHAPE, f)
 
     @pytest.mark.parametrize(
         "region,pinned,steps",

@@ -21,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .gibbs import (
@@ -103,6 +102,79 @@ def _compat_matrix(lower: ExtensionSet, upper: ExtensionSet) -> np.ndarray:
     return (a[:, None, :] <= b[None, :, :]).all(axis=2)
 
 
+def _transport_flow(
+    compat: np.ndarray, mu: np.ndarray, nu: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Max flow source -> lower i -> compatible upper j -> sink.
+
+    The source edge of lower ``i`` has capacity ``mu[i]``, the sink edge
+    of upper ``j`` has ``nu[j]``, and every compatible pair
+    (``compat[i, j]``) is uncapacitated.  A greedy pass first fills the
+    direct paths row by row; shortest augmenting paths (Edmonds-Karp)
+    then finish the flow.  Each search grows breadth-first levels: an
+    upper is entered from any compatible lower of the level before, a
+    lower from any upper it already sends flow to.
+
+    Residual tests are exact (``> 0.0``).  Every augmentation zeroes its
+    bottleneck exactly, so the searches end as in exact arithmetic; a
+    per-edge tolerance would let the leftovers add up to a short flow.
+    Returns ``(value, flow, lower_side, upper_side)``: the flow matrix,
+    and as boolean masks what the last, failed search reached, which is
+    the source side of a minimum cut.
+    """
+    p, q = compat.shape
+    flow = np.zeros((p, q))
+    src = np.array(mu, dtype=float)  # residual capacity source -> lower
+    snk = np.array(nu, dtype=float)  # residual capacity upper -> sink
+    for i in np.flatnonzero(src > 0.0):
+        for j in np.flatnonzero(compat[i] & (snk > 0.0)):
+            flow[i, j] = delta = min(src[i], snk[j])
+            src[i] -= delta
+            snk[j] -= delta
+            if not src[i] > 0.0:
+                break
+    while True:
+        seen_a = src > 0.0
+        seen_b = np.zeros(q, dtype=bool)
+        via_b = np.full(p, -1)  # upper a lower was entered from (-1: source)
+        via_a = np.zeros(q, dtype=np.intp)  # lower an upper was entered from
+        front = np.flatnonzero(seen_a)
+        end = -1
+        while front.size:
+            reach = compat[front] & ~seen_b
+            new_b = np.flatnonzero(reach.any(axis=0))
+            if not new_b.size:
+                break
+            via_a[new_b] = front[reach[:, new_b].argmax(axis=0)]
+            seen_b[new_b] = True
+            open_b = new_b[snk[new_b] > 0.0]
+            if open_b.size:
+                end = int(open_b[0])
+                break
+            back = (flow[:, new_b] > 0.0) & ~seen_a[:, None]
+            front = np.flatnonzero(back.any(axis=1))
+            via_b[front] = new_b[back[front].argmax(axis=1)]
+            seen_a[front] = True
+        if end < 0:
+            return float(flow.sum()), flow, seen_a, seen_b
+        # walk back from the sink: forward edges (i, j) and backward (i, j')
+        forward, backward = [], []
+        j = end
+        while j >= 0:
+            i = int(via_a[j])
+            forward.append((i, j))
+            j = int(via_b[i])
+            if j >= 0:
+                backward.append((i, j))
+        delta = min(src[i], snk[end], *(flow[e] for e in backward))
+        for e in forward:
+            flow[e] += delta
+        for e in backward:
+            flow[e] -= delta
+        src[i] -= delta
+        snk[end] -= delta
+
+
 def dominance_certificate(
     lower: QuenchedMeasure,
     upper: QuenchedMeasure,
@@ -110,82 +182,44 @@ def dominance_certificate(
 ) -> DominanceCertificate:
     """Strassen test: upper dominates lower iff the transport flow fills.
 
-    Builds the bipartite network source -> lower members (capacity =
-    lower mass) -> compatible upper members -> sink (capacity = upper
-    mass), where compatibility is pointwise <=.  Max-flow 1 yields the
-    coupling; otherwise the lower members reachable in the residual
-    graph generate an upper set carrying strictly more lower mass.
+    The flow runs on the bipartite network source -> lower members
+    (capacity = lower mass) -> compatible upper members -> sink
+    (capacity = upper mass), where compatibility is pointwise <=; see
+    ``_transport_flow``.  A flow of value 1 (up to ``_FLOW_TOL``) is the
+    coupling.  Otherwise the lower members its last search reached
+    generate an upper set carrying strictly more lower than upper mass:
+    ``lower_mass - upper_mass`` is at least ``1 - flow_value``.
     """
     if lower.region.vertex_list != upper.region.vertex_list:
         raise ValueError("measures live on different regions")
     p, q = len(lower), len(upper)
     if p * q > pair_cap:
         raise ValueError(f"support pair count {p * q} exceeds cap {pair_cap}")
+    if p == 0 or q == 0:
+        raise ValueError("degenerate supports")
     compat = _compat_matrix(lower.support, upper.support)
     mu = lower.probabilities
     nu = upper.probabilities
 
-    G = nx.DiGraph()
-    for i in range(p):
-        G.add_edge("s", ("a", i), capacity=float(mu[i]))
-    for j in range(q):
-        G.add_edge(("b", j), "t", capacity=float(nu[j]))
-    ai, bj = np.nonzero(compat)
-    for i, j in zip(ai.tolist(), bj.tolist()):
-        G.add_edge(("a", i), ("b", j), capacity=2.0)
-    if "s" not in G or "t" not in G:
-        raise ValueError("degenerate supports")
-
-    value, flow = nx.maximum_flow(G, "s", "t")
+    value, flow, reach_a, reach_b = _transport_flow(compat, mu, nu)
     if value >= 1.0 - _FLOW_TOL:
-        coupling = []
-        row_sums = np.zeros(p)
-        col_sums = np.zeros(q)
-        for i in range(p):
-            for tgt, f in flow[("a", i)].items():
-                if tgt == "s" or f <= 0.0:
-                    continue
-                j = tgt[1]
-                coupling.append((i, j, float(f)))
-                row_sums[i] += f
-                col_sums[j] += f
         err = max(
-            float(np.max(np.abs(row_sums - mu))),
-            float(np.max(np.abs(col_sums - nu))),
+            float(np.max(np.abs(flow.sum(axis=1) - mu))),
+            float(np.max(np.abs(flow.sum(axis=0) - nu))),
         )
-        return DominanceCertificate(
-            True, float(value), err, tuple(sorted(coupling)), None
+        coupling = tuple(
+            (int(i), int(j), float(flow[i, j]))
+            for i, j in zip(*np.nonzero(flow > 0.0))
         )
+        return DominanceCertificate(True, float(value), err, coupling, None)
 
-    # residual reachability from the source gives the min cut
-    reach_a: set[int] = set()
-    reach_b: set[int] = set()
-    seen = {"s"}
-    stack = ["s"]
-    while stack:
-        node = stack.pop()
-        for _, tgt, cap in G.out_edges(node, data="capacity"):
-            f = flow[node].get(tgt, 0.0)
-            if cap - f > _FLOW_TOL and tgt not in seen:
-                seen.add(tgt)
-                stack.append(tgt)
-        for src, _, _ in G.in_edges(node, data="capacity"):
-            if flow[src].get(node, 0.0) > _FLOW_TOL and src not in seen:
-                seen.add(src)
-                stack.append(src)
-    for node in seen:
-        if isinstance(node, tuple):
-            (reach_a if node[0] == "a" else reach_b).add(node[1])
-
-    gen = sorted(reach_a)
     a = lower.support.members_array
-    above_gen = (a[None, :, :] >= a[gen][:, None, :]).all(axis=2).any(axis=0)
-    upper_in = compat[gen].any(axis=0)
+    above_gen = (a[None, :, :] >= a[reach_a][:, None, :]).all(axis=2).any(axis=0)
     witness = {
         "lower_indices": tuple(int(i) for i in np.nonzero(above_gen)[0]),
-        "upper_indices": tuple(int(j) for j in np.nonzero(upper_in)[0]),
+        "upper_indices": tuple(int(j) for j in np.nonzero(reach_b)[0]),
         "lower_mass": float(mu[above_gen].sum()),
-        "upper_mass": float(nu[upper_in].sum()),
+        "upper_mass": float(nu[reach_b].sum()),
     }
     return DominanceCertificate(False, float(value), 0.0, None, witness)
 
@@ -510,14 +544,30 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("tail_samples", "mean_draws", "mean_samples_per_draw"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1, got {value}")
-        for key in ("burn_factor", "thin_factor"):
-            value = getattr(self, key)
-            if not value >= 0:  # also rejects nan
-                raise ValueError(f"{key} must be >= 0, got {value}")
+        _check_sampling_knobs(
+            {
+                key: getattr(self, key)
+                for key in ("tail_samples", "mean_draws", "mean_samples_per_draw")
+            },
+            {key: getattr(self, key) for key in ("burn_factor", "thin_factor")},
+        )
+
+
+def _check_sampling_knobs(
+    counts: Mapping[str, int], factors: Mapping[str, float]
+) -> None:
+    """Reject counts below 1 and factors that are negative or not finite.
+
+    The error names the offending argument.  Burn and thin lengths are
+    ``round(factor * span^2)`` sweeps, so a factor must be a finite
+    number >= 0.
+    """
+    for key, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
+    for key, value in factors.items():
+        if not 0 <= value < math.inf:  # also rejects nan
+            raise ValueError(f"{key} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -781,6 +831,14 @@ def scaling_check(
     (draw index d), pairing the disorder; the fraction of pairs with a
     strict decrease of the normalized deviation is returned.
     """
+    _check_sampling_knobs(
+        {
+            "seeds": seeds,
+            "mean_draws": mean_draws,
+            "mean_samples_per_draw": mean_samples_per_draw,
+        },
+        {"burn_factor": burn_factor, "thin_factor": thin_factor},
+    )
     devs = {}
     for tag, n in ((1, n_small), (2, n_large)):
         region = make_box((0, 0), (n - 1, n - 1))

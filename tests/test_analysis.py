@@ -5,6 +5,9 @@ Independent routes used below:
 * the max-flow dominance verdict is cross-checked against exhaustive
   upper-set enumeration (a different algorithm with different failure
   modes), and coupling entries are re-checked for pointwise order;
+* the transport flow's value is checked against a linear program
+  (scipy's HiGHS) on a few hundred random compatibility matrices, and
+  its min-cut side against the cut inequality;
 * member probabilities entering the martingale audit are recomputed by
   a plain exp-sum average over the full two-point sign enumeration;
 * audit levels are validated through the tower property (children's
@@ -20,9 +23,12 @@ are {(0,1): mean 1, (0,-1): mean -1}.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from randomsurfaces import analysis, heights, lattice
 from randomsurfaces.analysis import (
@@ -38,6 +44,7 @@ from randomsurfaces.analysis import (
     dominance_sweep,
     dominates_by_upper_sets,
     martingale_audit,
+    scaling_check,
     two_point_comparison,
     _max_walk_length,
 )
@@ -162,6 +169,123 @@ class TestDominanceCertificate:
             assert cert.dominated == verdict
             if not verdict:
                 assert worst["gap"] > 0
+
+
+def random_transport_instance(rng):
+    """A random compatibility matrix with masses spread over 12 decades.
+
+    A third of the instances take their masses from a random coupling on
+    compatible pairs, so the flow must fill; the rest draw both masses
+    freely and are mostly refuted.  Densities include 0 (no compatible
+    pair at all).
+    """
+    p, q = (int(k) for k in rng.integers(1, 13, size=2))
+    density = rng.choice([0.0, 0.1, 0.3, 0.6, 1.0])
+    compat = rng.random((p, q)) < density
+
+    def masses(size):
+        w = rng.random(size) * 10.0 ** -rng.uniform(0, 12, size)
+        return w / w.sum()
+
+    if compat.any() and rng.random() < 1 / 3:
+        coupling = np.where(compat, masses((p, q)), 0.0)
+        coupling /= coupling.sum()
+        return compat, coupling.sum(axis=1), coupling.sum(axis=0)
+    return compat, masses(p), masses(q)
+
+
+def lp_max_flow(compat, mu, nu):
+    """Max-flow value of the same network as a linear program (HiGHS)."""
+    ii, jj = np.nonzero(compat)
+    if not ii.size:
+        return 0.0
+    rows = np.zeros((len(mu) + len(nu), ii.size))
+    rows[ii, np.arange(ii.size)] = 1.0
+    rows[len(mu) + jj, np.arange(ii.size)] = 1.0
+    res = linprog(
+        -np.ones(ii.size), A_ub=rows, b_ub=np.concatenate([mu, nu]),
+        bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def parity_ring_pair(n, potential_of):
+    """The n x n parity ring and the ring + 2 under one potential."""
+    region = make_box((0, 0), (n - 1, n - 1))
+    low = box_boundary_data(region, "parity")
+    high = low.shift(2)
+    (lo1, hi1), (lo2, hi2) = (required_window(region, f) for f in (low, high))
+    p = potential_of((min(lo1, lo2), max(hi1, hi2)))
+    return quenched_measure(region, low, p), quenched_measure(region, high, p)
+
+
+class TestTransportFlow:
+    def test_matches_linear_program(self):
+        rng = np.random.default_rng(19650101)
+        kinds = {"filled": 0, "refuted": 0, "no pair": 0}
+        for _ in range(300):
+            compat, mu, nu = random_transport_instance(rng)
+            value, flow, side_a, side_b = analysis._transport_flow(compat, mu, nu)
+            assert value == pytest.approx(lp_max_flow(compat, mu, nu), abs=1e-9)
+            assert (flow >= 0.0).all() and not flow[~compat].any()
+            assert (flow.sum(axis=1) <= mu + 1e-12).all()
+            assert (flow.sum(axis=0) <= nu + 1e-12).all()
+            if value >= 1.0 - analysis._FLOW_TOL:
+                kinds["filled"] += 1
+                assert np.abs(flow.sum(axis=1) - mu).max() <= 1e-9
+                assert np.abs(flow.sum(axis=0) - nu).max() <= 1e-9
+                continue
+            kinds["refuted" if compat.any() else "no pair"] += 1
+            # the cut is closed: reached lowers reach only reached uppers
+            assert not compat[side_a][:, ~side_b].any()
+            lower_mass, upper_mass = mu[side_a].sum(), nu[side_b].sum()
+            assert lower_mass - upper_mass >= 1.0 - value - 1e-12
+        assert min(kinds.values()) >= 30, kinds
+
+    def test_crash_input_of_the_5x5_parity_ring_certifies(self):
+        # a float preflow-push raised "min() arg is an empty sequence" on
+        # this input for some string-hash seeds
+        def potential(window):
+            lo, hi = window
+            rng = np.random.default_rng([2111, 2, 3])
+            return Potential(lo, hi, rng.choice([-1.0, 1.0], size=hi - lo + 1))
+
+        mu, nu = parity_ring_pair(5, potential)
+        cert = dominance_certificate(mu, nu)
+        assert cert.dominated
+        assert cert.max_marginal_error <= 1e-9
+
+    def test_6x6_parity_ring_certifies(self):
+        model = PotentialModel("twopoint", 1.0, 0)
+        mu, nu = parity_ring_pair(
+            6, lambda window: sample_potential(model, window, draw=3)
+        )
+        assert len(mu) == len(nu) == 1322
+        cert = dominance_certificate(mu, nu)
+        assert cert.dominated
+        assert cert.max_marginal_error <= 1e-9
+
+    def test_certificate_needs_no_networkx(self):
+        code = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from randomsurfaces import analysis, lattice, potential\n"
+            "box = lattice.make_box((0, 0), (2, 2))\n"
+            "low = analysis.box_boundary_data(box, 'parity')\n"
+            "pair = [(low, low.shift(2))]\n"
+            "model = potential.PotentialModel('uniform', 1.0, 0)\n"
+            "sweep = analysis.dominance_sweep(box, pair, model, draws=3)\n"
+            "assert sweep.failures == () and sweep.checks == 3\n"
+            "print(sweep.max_marginal_error)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 1e-9
 
 
 class TestDominanceSweep:
@@ -473,11 +597,34 @@ class TestBoundaryDataAndConfig:
             ("burn_factor", -0.5),
             ("thin_factor", -0.125),
             ("thin_factor", float("nan")),
+            ("burn_factor", float("inf")),
         ],
     )
     def test_experiment_rejects_bad_counts(self, key, value):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("seeds", 0),
+            ("mean_draws", 0),
+            ("mean_samples_per_draw", 0),
+            ("burn_factor", float("nan")),
+            ("thin_factor", -0.02),
+            ("thin_factor", float("inf")),
+        ],
+    )
+    def test_scaling_check_rejects_bad_knobs(self, key, value, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(analysis, "_mean_field", no_sampling)
+        with pytest.raises(ValueError, match=key):
+            scaling_check(
+                PotentialModel("twopoint", 1.0, 0), n_small=5, n_large=9,
+                **{"seeds": 4, "mean_draws": 3, key: value},
+            )
 
     def test_experiment_accepts_smallest_counts(self):
         cfg = ExperimentConfig(

@@ -20,6 +20,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .lattice import (
+    _INT64_MAX,
+    _INT64_MIN,
     Region,
     Vertex,
     _check_vertex,
@@ -199,20 +201,49 @@ def validate(region: Region, f: Mapping[Vertex, int]) -> bool:
     vals = {tuple(v): int(z) for v, z in f.items()}
     if set(vals) != set(region.vertex_set):
         raise ValueError("function domain does not match the region")
-    return is_parity_homomorphism(vals)
+    return _is_height_function_at(
+        region, vals, list(map(region._position.__getitem__, vals))
+    )
+
+
+def _is_height_function_at(
+    region: Region, vals: Mapping[Vertex, int], at: list[int]
+) -> bool:
+    """True iff ``vals`` is a height function on its vertices in the region.
+
+    ``at`` holds the region positions of the vertices of ``vals``, in its
+    order.  Each height must have the parity of its vertex's coordinate
+    sum, and the heights at the two ends of every region edge with both
+    ends in ``vals`` must differ by exactly 1.  The edges are read from
+    the neighbour tuples of ``at``, so the work is O(len(vals)).
+    """
+    if any((h - sum(v)) & 1 for v, h in vals.items()):
+        return False
+    height = dict(zip(at, vals.values()))
+    nbrs = region._neighbor_positions
+    for i, h in height.items():
+        for j in nbrs[i]:
+            g = height.get(j)
+            if g is not None and abs(g - h) != 1:
+                return False
+    return True
 
 
 def _pinned_map(region: Region, pinned: Mapping[Vertex, int]) -> dict[Vertex, int]:
+    """The pinned data as a dict, checked to be a height function in region."""
     if isinstance(pinned, HeightFunction):
         vals = pinned.as_dict()
     else:
         vals = {_check_vertex(v, region.dimension): int(z) for v, z in pinned.items()}
     if not vals:
         raise ValueError("pinned data must be nonempty")
-    for v in vals:
-        if v not in region.vertex_set:
-            raise ValueError(f"pinned vertex {v} lies outside the region")
-    if not is_parity_homomorphism(vals):
+    at = list(map(region._position.get, vals))
+    if None in at:
+        v = next(v for v, i in zip(vals, at) if i is None)
+        raise ValueError(f"pinned vertex {v} lies outside the region")
+    if min(vals.values()) < _INT64_MIN or max(vals.values()) > _INT64_MAX:
+        raise ValueError("pinned values must fit in int64")
+    if not _is_height_function_at(region, vals, at):
         raise ValueError("pinned data is not a valid height function")
     return vals
 

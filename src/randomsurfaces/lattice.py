@@ -5,11 +5,20 @@ differ by exactly 1 in one coordinate (l1 distance 1).  A Region is a
 finite, nonempty, connected set of vertices together with the adjacency
 it induces; all graph notions below (neighbors, distance, boundary) are
 relative to the region, never to the ambient lattice.
+
+A Region is array-backed: its vertices are one (n, m) int64 coordinate
+array in lexicographic order, its adjacency a padded (n, 2m) neighbour
+matrix with a degree array, and its edges two endpoint arrays.  They
+are built in numpy (sorts and coordinate comparisons, no per-vertex
+Python work).  The tuple views (``vertex_list``, ``vertex_set``,
+positions, neighbour tuples) are made once; ``edge_positions`` is made
+on first use only.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,16 +44,7 @@ __all__ = [
     "format_region",
 ]
 
-
-def _unit_steps(m: int) -> list[Vertex]:
-    steps = []
-    for i in range(m):
-        for s in (1, -1):
-            e = [0] * m
-            e[i] = s
-            steps.append(tuple(e))
-    return steps
-
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 def _check_vertex(v, m: int | None) -> Vertex:
     t = tuple(v)
@@ -53,6 +53,42 @@ def _check_vertex(v, m: int | None) -> Vertex:
     if m is not None and len(t) != m:
         raise ValueError(f"vertex {t} has dimension {len(t)}, expected {m}")
     return tuple(int(c) for c in t)
+
+
+def _check_int64(v: Vertex) -> None:
+    if not all(_INT64_MIN <= c <= _INT64_MAX for c in v):
+        raise ValueError(f"vertex {v} has a coordinate outside the int64 range")
+
+
+def _coordinate_array(vertices: Iterable[Vertex]) -> np.ndarray:
+    """The vertices as an (n, m) int64 array, in input order, checked.
+
+    A 2D signed-integer array with at least one column is taken as it
+    is.  Anything else is read vertex by vertex: every coordinate must be
+    an int or a numpy integer, every vertex nonempty and of one
+    dimension, and every coordinate must fit in int64.
+    """
+    if (
+        isinstance(vertices, np.ndarray)
+        and vertices.ndim == 2
+        and vertices.dtype.kind == "i"
+        and vertices.shape[1] > 0
+    ):
+        return vertices.astype(np.int64, copy=False)
+    vs = list(vertices)
+    ts = list(map(tuple, vs))
+    if not all(ts) or not set(map(type, chain.from_iterable(ts))) <= {int}:
+        ts = [_check_vertex(v, None) for v in vs]
+    if len(set(map(len, ts))) > 1:
+        ordered = sorted(set(ts))
+        other = next(v for v in ordered if len(v) != len(ordered[0]))
+        raise ValueError(f"mixed dimensions in region: {ordered[0]} vs {other}")
+    try:
+        return np.array(ts, dtype=np.int64)
+    except OverflowError:
+        for t in ts:
+            _check_int64(t)
+        raise
 
 
 def induced_edges(vertices: Iterable[Vertex]) -> list[tuple[Vertex, Vertex]]:
@@ -70,12 +106,86 @@ def induced_edges(vertices: Iterable[Vertex]) -> list[tuple[Vertex, Vertex]]:
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _graph(coords: np.ndarray):
+    """Sorted vertices, neighbour tuples and the Region arrays.
+
+    Returns the sorted distinct vertices and each one's neighbour
+    positions as tuples, then the arrays that ``Region`` keeps (see
+    there): coordinates, neighbour matrix, degrees and the two edge
+    endpoint arrays.  Only the tuple views are built per vertex.
+    """
+    n, m = coords.shape
+    # lexicographic order and deduplication: one sort, then drop rows
+    # equal to their predecessor
+    coords = coords[np.lexsort(coords.T[::-1])]
+    fresh = (coords[1:] != coords[:-1]).any(axis=1)
+    if not fresh.all():
+        coords = coords[np.concatenate(([True], fresh))]
+        n = len(coords)
+
+    # Neighbours along axis d: sorted by the other coordinates first and
+    # coordinate d last, v and v + e_d are consecutive, and their
+    # difference is e_d.  The int64 subtraction may wrap around, but a
+    # difference equal to e_d modulo 2^64 means equal other coordinates
+    # and x_d either one apart or going from int64 max to int64 min, which
+    # ascending x_d rules out.  Column d holds v - e_d and column
+    # 2m - 1 - d holds v + e_d, so a row ascends; sorting each row with
+    # padding n moves the padding last.
+    nbr = np.full((n, 2 * m), n, dtype=np.int64)
+    unit = np.eye(m, dtype=np.int64)
+    for d in range(m):
+        if d == m - 1:
+            order = np.arange(n)
+        else:
+            keys = [d] + [k for k in range(m - 1, -1, -1) if k != d]
+            order = np.lexsort(coords.T[keys])
+        step = (coords[order[1:]] - coords[order[:-1]] == unit[d]).all(axis=1)
+        a, b = order[:-1][step], order[1:][step]
+        nbr[a, 2 * m - 1 - d] = b
+        nbr[b, d] = a
+    nbr.sort(axis=1)
+    present = nbr < n
+    degree = present.sum(axis=1)
+    nbr[~present] = -1
+    ea, col = np.nonzero(nbr > np.arange(n)[:, None])
+
+    rows = nbr.tolist()
+    for i in np.nonzero(degree < 2 * m)[0].tolist():
+        rows[i] = rows[i][: degree[i]]
+    return (
+        tuple(map(tuple, coords.tolist())),
+        tuple(map(tuple, rows)),
+        coords,
+        nbr,
+        degree,
+        ea.astype(np.int64, copy=False),
+        nbr[ea, col],
+    )
+
+
 class Region:
     """A finite connected set of lattice vertices with induced adjacency.
 
-    Construction validates nonemptiness, uniform dimension, and
-    connectedness.  Vertices are stored sorted lexicographically and the
-    instance is immutable; adjacency and edge structure are precomputed.
+    Construction validates nonemptiness, uniform dimension, int64
+    coordinates and connectedness.  Any iterable of vertices is accepted,
+    including an (n, m) integer array.  The instance is immutable and
+    holds, all aligned with the lexicographic vertex order:
+
+    * ``_coords``: the (n, m) int64 coordinates;
+    * ``_neighbors``: an (n, 2m) matrix whose row i lists the positions
+      of vertex i's in-region neighbours in ascending order, padded
+      with -1, and ``_degree``, the number of them;
+    * ``_edge_ends``: the edges (i, j), i < j, in lexicographic order, as
+      two endpoint arrays (``edge_arrays``).
+
+    The arrays are read-only.  ``vertex_list``, ``vertex_set``,
+    ``position`` and ``neighbor_positions`` are tuple views built on
+    construction; ``edge_positions`` is built on first use.
     """
 
     __slots__ = (
@@ -85,61 +195,42 @@ class Region:
         "_position",
         "_neighbor_positions",
         "_edge_positions",
+        "_coords",
+        "_neighbors",
+        "_degree",
+        "_edge_ends",
     )
 
     def __init__(self, vertices: Iterable[Vertex]):
-        vs = sorted({_check_vertex(v, None) for v in vertices})
-        if not vs:
+        coords = _coordinate_array(vertices)
+        if not len(coords):
             raise ValueError("region must be nonempty")
-        m = len(vs[0])
-        for v in vs:
-            if len(v) != m:
-                raise ValueError(
-                    f"mixed dimensions in region: {vs[0]} vs {v}"
-                )
-        object.__setattr__(self, "dimension", m)
-        object.__setattr__(self, "vertex_list", tuple(vs))
-        object.__setattr__(self, "vertex_set", frozenset(vs))
-        pos = {v: i for i, v in enumerate(vs)}
-        object.__setattr__(self, "_position", pos)
-
-        steps = _unit_steps(m)
-        nbrs = []
-        for v in vs:
-            row = []
-            for s in steps:
-                w = tuple(a + b for a, b in zip(v, s))
-                j = pos.get(w)
-                if j is not None:
-                    row.append(j)
-            nbrs.append(tuple(sorted(row)))
-        object.__setattr__(self, "_neighbor_positions", tuple(nbrs))
-
-        # edges as index pairs (i, j), i < j, lexicographic
-        edges = []
-        for i, row in enumerate(nbrs):
-            for j in row:
-                if i < j:
-                    edges.append((i, j))
-        object.__setattr__(self, "_edge_positions", tuple(edges))
-
+        vs, rows, coords, nbr, degree, ea, eb = _graph(coords)
+        set_ = object.__setattr__
+        set_(self, "dimension", coords.shape[1])
+        set_(self, "vertex_list", vs)
+        set_(self, "vertex_set", frozenset(vs))
+        set_(self, "_position", dict(zip(vs, range(len(vs)))))
+        set_(self, "_neighbor_positions", rows)
+        set_(self, "_edge_positions", None)
+        set_(self, "_coords", _read_only(coords))
+        set_(self, "_neighbors", _read_only(nbr))
+        set_(self, "_degree", _read_only(degree))
+        set_(self, "_edge_ends", (_read_only(ea), _read_only(eb)))
         self._check_connected()
 
     def _check_connected(self) -> None:
-        n = len(self.vertex_list)
-        seen = [False] * n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            i = queue.popleft()
-            for j in self._neighbor_positions[i]:
+        nbrs = self._neighbor_positions
+        seen = bytearray(len(nbrs))
+        seen[0] = 1
+        reached = [0]
+        for i in reached:  # grows while it is read: a breadth-first search
+            for j in nbrs[i]:
                 if not seen[j]:
-                    seen[j] = True
-                    count += 1
-                    queue.append(j)
-        if count != n:
-            missing = self.vertex_list[seen.index(False)]
+                    seen[j] = 1
+                    reached.append(j)
+        if len(reached) != len(nbrs):
+            missing = self.vertex_list[seen.index(0)]
             raise ValueError(
                 f"region is not connected: {missing} unreachable from "
                 f"{self.vertex_list[0]}"
@@ -155,7 +246,10 @@ class Region:
         return iter(self.vertex_list)
 
     def __contains__(self, v) -> bool:
-        return tuple(v) in self.vertex_set
+        try:
+            return tuple(v) in self.vertex_set
+        except TypeError:  # not iterable, or unhashable coordinates
+            return False
 
     def __eq__(self, other) -> bool:
         return (
@@ -181,14 +275,23 @@ class Region:
     @property
     def edge_positions(self) -> tuple[tuple[int, int], ...]:
         """Edges of the induced graph as (i, j) index pairs, i < j."""
+        if self._edge_positions is None:
+            ea, eb = self._edge_ends
+            object.__setattr__(
+                self, "_edge_positions", tuple(zip(ea.tolist(), eb.tolist()))
+            )
         return self._edge_positions
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two parallel int arrays of positions."""
-        if not self._edge_positions:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        ea, eb = zip(*self._edge_positions)
-        return np.asarray(ea, dtype=np.int64), np.asarray(eb, dtype=np.int64)
+        """Edge endpoints as two parallel read-only int64 position arrays."""
+        return self._edge_ends
+
+    def _bounds(self) -> tuple[list[int], list[int]]:
+        """Coordinatewise minimum and maximum, as Python ints."""
+        return (
+            self._coords.min(axis=0).tolist(),
+            self._coords.max(axis=0).tolist(),
+        )
 
     def is_box(self) -> bool:
         """True iff the region is its whole bounding box.
@@ -196,30 +299,32 @@ class Region:
         The vertices are distinct and lie in the bounding box, so they fill
         it exactly when there are as many of them as the box has points.
         """
-        arr = np.asarray(self.vertex_list, dtype=np.int64)
-        sides = arr.max(axis=0) - arr.min(axis=0) + 1
-        return len(self) == prod(sides.tolist())
+        lows, highs = self._bounds()
+        return len(self) == prod(b - a + 1 for a, b in zip(lows, highs))
 
     def l1_diameter(self) -> int:
         """max_{x,y in R} sum_i |x_i - y_i| (ambient l1, not graph metric)."""
-        arr = np.asarray(self.vertex_list, dtype=np.int64)
-        return int((arr.max(axis=0) - arr.min(axis=0)).sum())
+        lows, highs = self._bounds()
+        return sum(b - a for a, b in zip(lows, highs))
 
 
 def make_box(lows: Sequence[int], highs: Sequence[int]) -> Region:
-    """Box region prod_i [lows[i], highs[i]] (inclusive bounds)."""
-    lows = [int(a) for a in lows]
-    highs = [int(b) for b in highs]
+    """Box region prod_i [lows[i], highs[i]] (inclusive bounds).
+
+    The bounds are two corner vertices: ints or numpy integers.
+    """
+    lows, highs = tuple(lows), tuple(highs)
     if len(lows) != len(highs) or not lows:
         raise ValueError("lows and highs must be nonempty and equal length")
+    lows, highs = _check_vertex(lows, None), _check_vertex(highs, None)
+    _check_int64(lows)
+    _check_int64(highs)
     for a, b in zip(lows, highs):
         if a > b:
             raise ValueError(f"empty box: low {a} > high {b}")
-    ranges = [range(a, b + 1) for a, b in zip(lows, highs)]
-    vertices: list[Vertex] = [()]
-    for r in ranges:
-        vertices = [v + (c,) for v in vertices for c in r]
-    return Region(vertices)
+    sides = [b - a + 1 for a, b in zip(lows, highs)]
+    grid = np.indices(sides, dtype=np.int64).reshape(len(sides), -1).T
+    return Region(grid + np.asarray(lows, dtype=np.int64))
 
 
 def neighbors(region: Region, v: Vertex) -> set[Vertex]:
@@ -298,12 +403,16 @@ def graph_distance(region: Region, x: Vertex, y: Vertex) -> int:
 
 def outer_extension(region: Region) -> Region:
     """The region together with all lattice neighbors of its vertices."""
-    steps = _unit_steps(region.dimension)
-    vs = set(region.vertex_list)
-    for v in region.vertex_list:
-        for s in steps:
-            vs.add(tuple(a + b for a, b in zip(v, s)))
-    return Region(vs)
+    coords, m = region._coords, region.dimension
+    at_end = ((coords == _INT64_MIN) | (coords == _INT64_MAX)).any(axis=1)
+    if at_end.any():
+        v = region.vertex_list[int(at_end.argmax())]
+        raise ValueError(
+            f"vertex {v} has a lattice neighbour outside the int64 range"
+        )
+    unit = np.eye(m, dtype=np.int64)
+    steps = np.concatenate([np.zeros((1, m), dtype=np.int64), unit, -unit])
+    return Region((coords + steps[:, None, :]).reshape(-1, m))
 
 
 def boundary(region: Region) -> set[Vertex]:
@@ -311,12 +420,9 @@ def boundary(region: Region) -> set[Vertex]:
 
     Those are exactly the vertices of in-region degree below 2m.
     """
-    full = 2 * region.dimension
-    return {
-        v
-        for v, nb in zip(region.vertex_list, region._neighbor_positions)
-        if len(nb) < full
-    }
+    vs = region.vertex_list
+    short = np.flatnonzero(region._degree < 2 * region.dimension)
+    return {vs[i] for i in short.tolist()}
 
 
 def relative_boundary(region: Region, sub: Iterable[Vertex]) -> set[Vertex]:

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from itertools import chain
-from math import prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -344,15 +342,14 @@ class BoxGlauber:
                 f"[{need_lo}, {need_hi}]"
             )
 
-        coords = np.asarray(region.vertex_list, dtype=np.int64)
-        lows = coords.min(axis=0)
-        sides = tuple(int(s) for s in coords.max(axis=0) - lows + 1)
+        coords = region._coords
+        lows, highs = region._bounds()
+        sides = tuple(b - a + 1 for a, b in zip(lows, highs))
         self.region = region
         self.batch = len(potentials)
         self.rng = rng
-        self.low = tuple(int(a) for a in lows)
-        # a region fills its bounding box iff it has as many vertices
-        self.shape = sides if len(region) == prod(sides) else (len(region),)
+        self.low = tuple(lows)
+        self.shape = sides if region.is_box() else (len(region),)
         pinned_flat = np.zeros(len(region), dtype=bool)
         pinned_flat[
             [region.position(v) for v in as_height_function(pinned).domain]
@@ -386,13 +383,9 @@ class BoxGlauber:
 
         # per free site: its in-region neighbours' rows, padded to the
         # largest degree by repeating the first (min and max unchanged)
-        nbrs = region._neighbor_positions
-        deg = np.fromiter(map(len, nbrs), dtype=np.intp, count=len(region))
-        adj = np.fromiter(
-            chain.from_iterable(nbrs), dtype=np.intp, count=int(deg.sum())
-        )
-        first = np.cumsum(deg) - deg
+        deg = region._degree
         kmax = int(deg.max())
+        nbr = region._neighbors[:, :kmax]
         cols = np.arange(kmax)
         # table (batch, k, z - lo), flattened; chain b at a site with k
         # in-region neighbours reads it at z + base[site, b]
@@ -407,8 +400,9 @@ class BoxGlauber:
             self._blocks.append(slice(top, top + sites.size))
             top += sites.size
             k = deg[sites, None]
-            idx = first[sites, None] + np.where(cols < k, cols, 0)
-            self._slots.append(np.ascontiguousarray(self._slot[adj[idx]].T))
+            nb = nbr[sites]
+            nb = np.where(cols < k, nb, nb[:, :1])
+            self._slots.append(np.ascontiguousarray(self._slot[nb].T))
             self._base.append(brow + (k * tab.shape[-1] - win[0]))
 
     def half_sweep(self, parity: int) -> None:

@@ -39,8 +39,10 @@ from randomsurfaces.heights import (
     parse_grid,
     parse_heights,
     read_heights,
+    validate,
     write_heights,
 )
+from randomsurfaces.heights import _pinned_map
 from randomsurfaces.lattice import Region, boundary, make_box
 
 BOX3 = make_box((0, 0), (2, 2))
@@ -153,6 +155,93 @@ class TestParity:
     def test_empty_map_rejected(self):
         with pytest.raises(ValueError):
             is_parity_homomorphism({})
+
+
+class TestPinnedValidation:
+    """Pinned data and ``validate`` are checked on the region's neighbour
+    tuples; the public ``is_parity_homomorphism`` on the induced adjacency
+    is the oracle."""
+
+    def test_matches_the_oracle_on_random_pins(self, metric_instances):
+        rng = np.random.default_rng(31)
+        verdicts = {True: 0, False: 0}
+        for region, pins, _ in metric_instances:
+            cases = [pins]
+            for shift in (2, -2, 1):  # +-2 may break a step, 1 the parity
+                bad = dict(pins)
+                v = list(pins)[int(rng.integers(len(pins)))]
+                bad[v] += shift
+                cases.append(bad)
+            for data in cases:
+                valid = is_parity_homomorphism(data)
+                verdicts[valid] += 1
+                for given in (data, HeightFunction.from_dict(data)):
+                    if valid:
+                        assert _pinned_map(region, given) == data
+                    else:
+                        with pytest.raises(ValueError) as err:
+                            _pinned_map(region, given)
+                        assert str(err.value) == (
+                            "pinned data is not a valid height function"
+                        )
+        assert verdicts[True] >= 300 and verdicts[False] >= 300
+
+    def test_validate_matches_the_oracle(self, metric_instances):
+        rng = np.random.default_rng(32)
+        verdicts = {True: 0, False: 0}
+        for region, pins, _ in metric_instances:
+            funcs = [parity_height(region)]
+            if kirszbraun_extendable(region, pins):
+                funcs += min_max_extensions(region, pins)
+            for f in map(HeightFunction.as_dict, funcs):
+                cases = [f]
+                for shift in (2, -2, 1):
+                    bad = dict(f)
+                    v = region.vertex_list[int(rng.integers(len(region)))]
+                    bad[v] += shift
+                    cases.append(bad)
+                for data in cases:
+                    valid = is_parity_homomorphism(data)
+                    verdicts[valid] += 1
+                    assert validate(region, data) is valid
+        assert verdicts[True] >= 600 and verdicts[False] >= 600
+
+    def test_validate_at_and_beyond_the_ends_of_int64(self):
+        path = make_box((0,), (1,))
+        assert not validate(path, {(0,): -(2**63), (1,): 2**63 - 1})
+        assert validate(path, {(0,): 2**63 - 2, (1,): 2**63 - 1})
+        # heights are Python ints here: no range limit
+        assert validate(path, {(0,): 2**64, (1,): 2**64 + 1})
+        assert not validate(path, {(0,): 2**64, (1,): 0})
+
+    def test_step_violation_between_pinned_neighbours(self):
+        with pytest.raises(ValueError, match="not a valid height function"):
+            min_max_extensions(PATH5, {(0,): 0, (1,): 3})
+        # pinned vertices two apart are unconstrained by the step rule
+        low, high = min_max_extensions(PATH5, {(0,): 0, (2,): 2})
+        assert low[(1,)] == high[(1,)] == 1
+
+    def test_outside_vertex_named_first(self):
+        with pytest.raises(ValueError, match=r"pinned vertex \(9, 9\) lies outside"):
+            min_max_extensions(BOX3, {(0, 0): 1, (9, 9): 0})
+
+    def test_steps_between_the_ends_of_int64(self):
+        # the difference int64 max - int64 min wraps around to -1
+        path = make_box((0,), (2,))
+        for data in (
+            {(0,): -(2**63), (1,): 2**63 - 1},
+            {(1,): 2**63 - 1, (2,): -(2**63)},
+        ):
+            assert not is_parity_homomorphism(data)
+            with pytest.raises(ValueError, match="not a valid height function"):
+                _pinned_map(path, data)
+        top = {(0,): 2**63 - 2, (1,): 2**63 - 1}
+        assert is_parity_homomorphism(top)
+        assert _pinned_map(path, top) == top
+
+    def test_values_outside_int64_are_rejected(self):
+        with pytest.raises(ValueError, match="int64"):
+            min_max_extensions(PATH5, {(0,): 2**64, (4,): 0})
 
 
 class TestKirszbraun:

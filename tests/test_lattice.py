@@ -4,11 +4,20 @@ Expected values are derived by hand.  A 3x3 box has 9 vertices and
 2 * 3 * 2 = 12 axis edges; its l1 diameter is (2-0) + (2-0) = 4; the
 boundary ring has 8 vertices.  Removing the center leaves an 8-cycle
 on which the two opposite edge midpoints are 4 apart instead of 2.
+
+The array-backed Region is also checked against ``OracleRegion``, a
+per-vertex constructor on Python tuples and ints.
 """
+
+import itertools
+import random
+import re
+from collections import deque
 
 import numpy as np
 import pytest
 
+from randomsurfaces import lattice
 from randomsurfaces.lattice import (
     Region,
     boundary,
@@ -25,6 +34,155 @@ from randomsurfaces.lattice import (
     relative_boundary,
     write_region,
 )
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+class OracleRegion:
+    """The per-vertex Region constructor on Python tuples (test oracle).
+
+    Copied from the tuple-based Region that the array-backed one
+    replaced: sorted, deduplicated vertices; each vertex's in-region
+    neighbours found by adding the 2m unit steps; edges (i, j), i < j,
+    read off the neighbour lists; a breadth-first connectivity check.
+    Python ints never wrap, so this also holds for coordinates far
+    outside any fixed-width range.
+    """
+
+    def __init__(self, vertices):
+        vs = sorted({_oracle_vertex(v) for v in vertices})
+        if not vs:
+            raise ValueError("region must be nonempty")
+        m = len(vs[0])
+        for v in vs:
+            if len(v) != m:
+                raise ValueError(
+                    f"mixed dimensions in region: {vs[0]} vs {v}"
+                )
+        self.dimension = m
+        self.vertex_list = tuple(vs)
+        pos = {v: i for i, v in enumerate(vs)}
+        self.position = pos
+
+        steps = _unit_steps(m)
+        nbrs = []
+        for v in vs:
+            row = []
+            for s in steps:
+                w = tuple(a + b for a, b in zip(v, s))
+                j = pos.get(w)
+                if j is not None:
+                    row.append(j)
+            nbrs.append(tuple(sorted(row)))
+        self.neighbor_positions = tuple(nbrs)
+
+        # edges as index pairs (i, j), i < j, lexicographic
+        edges = []
+        for i, row in enumerate(nbrs):
+            for j in row:
+                if i < j:
+                    edges.append((i, j))
+        self.edge_positions = tuple(edges)
+
+        n = len(self.vertex_list)
+        seen = [False] * n
+        seen[0] = True
+        queue = deque([0])
+        count = 1
+        while queue:
+            i = queue.popleft()
+            for j in self.neighbor_positions[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    count += 1
+                    queue.append(j)
+        if count != n:
+            missing = self.vertex_list[seen.index(False)]
+            raise ValueError(
+                f"region is not connected: {missing} unreachable from "
+                f"{self.vertex_list[0]}"
+            )
+
+    def boundary(self):
+        return {
+            v
+            for v, nb in zip(self.vertex_list, self.neighbor_positions)
+            if len(nb) < 2 * self.dimension
+        }
+
+    def sides(self):
+        return [
+            max(c) - min(c) + 1 for c in zip(*self.vertex_list)
+        ]
+
+    def is_box(self):
+        count = 1
+        for side in self.sides():
+            count *= side
+        return count == len(self.vertex_list)
+
+    def l1_diameter(self):
+        return sum(side - 1 for side in self.sides())
+
+    def outer_extension(self):
+        steps = _unit_steps(self.dimension)
+        vs = set(self.vertex_list)
+        for v in self.vertex_list:
+            for s in steps:
+                vs.add(tuple(a + b for a, b in zip(v, s)))
+        return OracleRegion(vs)
+
+
+def _unit_steps(m):
+    steps = []
+    for i in range(m):
+        for s in (1, -1):
+            e = [0] * m
+            e[i] = s
+            steps.append(tuple(e))
+    return steps
+
+
+def _oracle_vertex(v):
+    t = tuple(v)
+    if not t or not all(isinstance(c, (int, np.integer)) for c in t):
+        raise ValueError(f"vertex must be a nonempty tuple of ints, got {v!r}")
+    return tuple(int(c) for c in t)
+
+
+def assert_matches_oracle(region, oracle, outer=True):
+    assert region.dimension == oracle.dimension
+    assert region.vertex_list == oracle.vertex_list
+    assert all(type(c) is int for v in region.vertex_list for c in v)
+    assert region.vertex_set == frozenset(oracle.vertex_list)
+    assert region._position == oracle.position
+    assert list(region._position) == list(oracle.position)
+    for v, i in oracle.position.items():
+        assert region.position(v) == i
+    assert region._neighbor_positions == oracle.neighbor_positions
+    for i, row in enumerate(oracle.neighbor_positions):
+        assert region.neighbor_positions(i) == row
+    assert region.edge_positions == oracle.edge_positions
+    ea, eb = region.edge_arrays()
+    assert ea.dtype == eb.dtype == np.int64
+    assert not ea.flags.writeable and not eb.flags.writeable
+    assert list(zip(ea.tolist(), eb.tolist())) == list(oracle.edge_positions)
+    got, want = boundary(region), oracle.boundary()
+    assert got == want and list(got) == list(want)
+    assert region.is_box() == oracle.is_box()
+    assert region.l1_diameter() == oracle.l1_diameter()
+    if outer:
+        assert (
+            outer_extension(region).vertex_list
+            == oracle.outer_extension().vertex_list
+        )
+
+
+def oracle_error(vertices):
+    with pytest.raises(ValueError) as err:
+        OracleRegion(vertices)
+    return str(err.value)
 
 
 def ring3():
@@ -70,6 +228,27 @@ class TestRegionConstruction:
         assert (3, 0) not in box
         for i, v in enumerate(box.vertex_list):
             assert box.position(v) == i
+
+    def test_membership_of_non_vertices_is_false(self):
+        box = make_box((0, 0), (2, 2))
+        assert 5 not in box
+        assert None not in box
+        assert "ab" not in box
+        assert ([0], [0]) not in box
+        assert np.int64(0) not in make_box((0,), (2,))
+
+    @pytest.mark.parametrize(
+        "lows, highs",
+        [((0.5,), (3,)), (("0",), ("3",)), ((0, 0), (2, 2.0)),
+         ((np.float64(0),), (1,))],
+    )
+    def test_box_bounds_must_be_ints(self, lows, highs):
+        with pytest.raises(ValueError, match="nonempty tuple of ints"):
+            make_box(lows, highs)
+
+    def test_box_bounds_accept_numpy_integers(self):
+        box = make_box((np.int64(-1), np.int8(0)), (np.int32(1), 2))
+        assert box == make_box((-1, 0), (1, 2))
 
     def test_duplicate_vertices_collapse(self):
         r = Region([(0,), (1,), (0,), (1,)])
@@ -243,6 +422,246 @@ class TestBoundaries:
         # 9 box vertices + 3 outer neighbors per side (no diagonals) = 21
         box = make_box((0, 0), (2, 2))
         assert len(outer_extension(box)) == 21
+
+
+class TestAgainstTheOracle:
+    def test_random_regions(self, metric_instances):
+        rng = random.Random(5)
+        for region, _, _ in metric_instances:
+            vs = list(region.vertex_list)
+            rng.shuffle(vs)
+            assert_matches_oracle(Region(vs), OracleRegion(vs))
+
+    @pytest.mark.parametrize(
+        "lows, highs",
+        [
+            ((-3,), (4,)),
+            ((5,), (5,)),
+            ((2, -1, 5), (4, 1, 6)),
+            ((-7, 3, 0), (-6, 3, 2)),
+            ((0, 0, 0, 0), (1, 2, 1, 1)),
+            ((-1, 10), (3, 12)),
+        ],
+    )
+    def test_boxes_off_the_origin(self, lows, highs):
+        vs = list(
+            itertools.product(*(range(a, b + 1) for a, b in zip(lows, highs)))
+        )
+        assert_matches_oracle(make_box(lows, highs), OracleRegion(vs))
+
+    @pytest.mark.parametrize("v", [(7,), (-3, 4), (2, -9, 0), (1,) * 6])
+    def test_one_vertex_regions(self, v):
+        assert_matches_oracle(Region([v]), OracleRegion([v]))
+        assert_matches_oracle(Region(np.array([v])), OracleRegion([v]))
+
+    def test_generator_input(self):
+        def gen():
+            return (
+                (i, j) for i in range(4) for j in range(5) if (i, j) != (2, 2)
+            )
+
+        assert_matches_oracle(Region(gen()), OracleRegion(gen()))
+
+    def test_shuffled_input_with_duplicates(self):
+        rng = random.Random(11)
+        holes = {(1, 1, 1), (2, 1, 1), (0, 2, 0)}
+        vs = [v for v in itertools.product(range(4), range(3), range(3))
+              if v not in holes]
+        doubled = vs + vs[: len(vs) // 2]
+        rng.shuffle(doubled)
+        assert_matches_oracle(Region(doubled), OracleRegion(doubled))
+        as_array = np.asarray(doubled, dtype=np.int64)
+        assert_matches_oracle(Region(as_array), OracleRegion(doubled))
+
+    def test_numpy_integer_coordinates(self):
+        vs = [(np.int64(i), np.int32(j)) for i in range(3) for j in range(-1, 2)]
+        vs += [(np.uint8(3), 0), (np.int16(3), np.int8(1))]
+        assert_matches_oracle(Region(vs), OracleRegion(vs))
+        for dtype in (np.int8, np.int32, np.uint16):
+            arr = np.array([(i, j) for i in range(3) for j in range(2)], dtype)
+            assert_matches_oracle(Region(arr), OracleRegion(arr))
+
+    def test_bool_coordinates_count_as_ints(self):
+        vs = [(False, True), (True, True), (0, 0)]
+        assert_matches_oracle(Region(vs), OracleRegion(vs))
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [],
+            [(0, 0), (0, 0, 0)],
+            [(1, 2, 3), (0, 5), (0, 4), (9,)],
+            [(0, 1), [0.5, 1]],
+            [(0, 1), (np.float64(1.0), 1)],
+            [(0,), (0.0,), ()],
+            [(0, 1), ()],
+            ["ab"],
+            [(0, 0), (2, 0)],
+            [(0, 0), (1, 1), (0, 1), (5, 5), (5, 6)],
+            [(0,), (1,), (3,), (4,)],
+            np.array([[0.5, 1.0]]),
+            np.array([[True, False]]),
+            np.zeros((0, 2), dtype=np.int64),
+            np.zeros((3, 0), dtype=np.int64),
+        ],
+    )
+    def test_error_messages(self, vertices):
+        want = oracle_error(vertices)
+        with pytest.raises(ValueError) as err:
+            Region(vertices)
+        assert str(err.value) == want
+
+    def test_error_messages_for_generators(self):
+        for make in (
+            lambda: (v for v in [(0, 0), (3, 3)]),
+            lambda: (v for v in [(0, 0), (1.0, 0)]),
+            lambda: (v for v in ()),
+        ):
+            want = oracle_error(make())
+            with pytest.raises(ValueError) as err:
+                Region(make())
+            assert str(err.value) == want
+
+
+def random_blob(rng, sides, keep):
+    """The component of the first kept vertex of a randomly thinned box."""
+    kept = {
+        v for v in itertools.product(*map(range, sides)) if rng.random() < keep
+    }
+    start = min(kept)
+    component, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for i in range(len(v)):
+            for s in (1, -1):
+                w = v[:i] + (v[i] + s,) + v[i + 1 :]
+                if w in kept and w not in component:
+                    component.add(w)
+                    stack.append(w)
+    return sorted(component)
+
+
+def far_apart_inputs():
+    return [
+        [(0,), (2**62,)],
+        [(0,), (2**32 + 1,)],
+        [(3, 0), (3, 1), (3, 2**32 + 2)],
+        [(INT64_MIN,), (INT64_MAX,)],
+        [(INT64_MAX, 0), (INT64_MIN, 0)],
+        [(0, INT64_MAX), (1, INT64_MIN)],
+        [(INT64_MAX, INT64_MAX), (INT64_MIN, INT64_MIN)],
+        [(INT64_MAX - 1,), (INT64_MAX,), (INT64_MIN,), (INT64_MIN + 1,)],
+    ]
+
+
+class TestLargeRegions:
+    """Large random regions, with duplicates, against the oracle."""
+
+    def test_random_regions(self):
+        rng = random.Random(8)
+        for sides in [(12, 12), (20, 9), (6, 5, 5), (4, 4, 3, 3), (80,)]:
+            for keep in (0.6, 0.8, 1.0):
+                vs = random_blob(rng, sides, keep)
+                vs = vs + vs[: len(vs) // 3]
+                rng.shuffle(vs)
+                assert_matches_oracle(Region(vs), OracleRegion(vs))
+
+    def test_builder_on_disconnected_input(self):
+        # the builder runs before the connectivity check; on any input its
+        # edges are exactly the lattice-adjacent pairs (Python ints, which
+        # cannot wrap around), in lexicographic order
+        rng = random.Random(9)
+        inputs = far_apart_inputs()
+        for sides in [(9, 9), (5, 4, 3), (30,)]:
+            box = list(itertools.product(*map(range, sides)))
+            inputs += [[v for v in box if rng.random() < 0.5] for _ in range(5)]
+        for vs in inputs:
+            vs = vs + vs[:2]
+            rng.shuffle(vs)
+            got = lattice._graph(np.asarray(vs, dtype=np.int64))
+            sorted_vs, rows, coords, nbr, degree, ea, eb = got
+            assert sorted_vs == tuple(sorted(set(vs)))
+            assert coords.tolist() == [list(v) for v in sorted_vs]
+            pos = {v: i for i, v in enumerate(sorted_vs)}
+            want = sorted((pos[x], pos[y]) for x, y in lattice.induced_edges(vs))
+            assert list(zip(ea.tolist(), eb.tolist())) == want
+            assert degree.tolist() == list(map(len, rows))
+            for i, row in enumerate(rows):
+                assert list(row) == sorted(
+                    [b for a, b in want if a == i] + [a for a, b in want if b == i]
+                )
+                assert nbr[i].tolist() == list(row) + [-1] * (len(nbr[i]) - len(row))
+
+
+class TestFixedWidthCoordinates:
+    def test_far_apart_vertices_are_not_adjacent(self):
+        for vs in far_apart_inputs():
+            want = oracle_error(vs)
+            with pytest.raises(ValueError, match="not connected") as err:
+                Region(vs)
+            assert str(err.value) == want
+
+    def test_far_apart_pieces_of_a_large_region(self):
+        # two long paths along axis 1, at the two ends of int64 in axis 0
+        # and 2**32 + 1 apart in axis 1
+        ends = [(INT64_MAX, j) for j in range(50)]
+        ends += [(INT64_MIN, j) for j in range(50)]
+        ends += [(0, j) for j in range(70)] + [(0, 2**32 + 71)]
+        for vs in (ends[:100], ends[100:]):
+            want = oracle_error(vs)
+            with pytest.raises(ValueError, match="not connected") as err:
+                Region(vs)
+            assert str(err.value) == want
+
+    def test_long_thin_region_in_eight_dimensions(self):
+        # a snake through coordinates near both ends of int64: a key that
+        # combines coordinates into one integer would wrap around here
+        v = [INT64_MAX - 40, INT64_MIN + 3, 2**62, -(2**61), 0, 7,
+             INT64_MIN + 1, INT64_MAX - 1]
+        vs = [tuple(v)]
+        rng = random.Random(3)
+        for _ in range(400):
+            k = rng.randrange(8)
+            step = rng.choice((1, -1))
+            w = list(vs[-1])
+            w[k] += step
+            if INT64_MIN < w[k] < INT64_MAX:
+                vs.append(tuple(w))
+        region = Region(vs)
+        assert len(region) > 100 and region.dimension == 8
+        assert_matches_oracle(region, OracleRegion(vs))
+
+    def test_coordinates_at_the_ends_of_int64(self):
+        vs = [(INT64_MAX - 2,), (INT64_MAX - 1,), (INT64_MAX,)]
+        region = Region(vs)
+        assert_matches_oracle(region, OracleRegion(vs), outer=False)
+        assert region.edge_positions == ((0, 1), (1, 2))
+        with pytest.raises(ValueError, match=re.escape(f"({INT64_MAX},) has")):
+            outer_extension(region)
+        low = Region([(INT64_MIN, 5), (INT64_MIN, 4)])
+        assert_matches_oracle(low, OracleRegion(low), outer=False)
+        with pytest.raises(ValueError, match=re.escape(f"({INT64_MIN}, 4) has")):
+            outer_extension(low)
+
+    @pytest.mark.parametrize(
+        "vertices, named",
+        [
+            ([(2**63,)], (2**63,)),
+            ([(0, 0), (0, -(2**63) - 1)], (0, -(2**63) - 1)),
+            ([(1, 2**70), (0, 0)], (1, 2**70)),
+            ([(np.uint64(2**63), 0)], (2**63, 0)),
+            (np.array([[2**63]], dtype=np.uint64), (2**63,)),
+        ],
+    )
+    def test_coordinates_outside_int64_are_rejected(self, vertices, named):
+        with pytest.raises(ValueError, match=re.escape(f"vertex {named} ")):
+            Region(vertices)
+
+    def test_box_bounds_outside_int64_are_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(f"vertex ({2**63},)")):
+            make_box((2**63 - 1,), (2**63,))
+        with pytest.raises(ValueError, match="int64"):
+            make_box((-(2**63) - 1, 0), (0, 0))
 
 
 class TestRegionFiles:

@@ -6,8 +6,8 @@ Submodules:
 * ``heights``    height functions, extendability, extension sets
 * ``potential``  the random environment on height-axis edges
 * ``gibbs``      quenched and annealed Gibbs measures, structure identities
-* ``sampler``    exact sampling and heat-bath dynamics (single site and
-                 checkerboard sweeps)
+* ``sampler``    exact sampling and checkerboard heat-bath sweeps, with
+                 the single-site kernel and coupled runs
 * ``analysis``   stochastic dominance, martingale audits, concentration
                  experiments
 * ``cli``        the ``randomsurfaces`` command line tool

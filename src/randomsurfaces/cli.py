@@ -19,6 +19,7 @@ comma-separated lists.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Sequence
 
@@ -145,9 +146,8 @@ def _fmt_vertex(v) -> str:
 def _cmd_surface(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
-    for flag in ("steps", "sweeps"):
-        if (getattr(args, flag) or 0) < 0:
-            raise UsageError(f"--{flag} must be >= 0")
+    if (args.sweeps or 0) < 0:
+        raise UsageError("--sweeps must be >= 0")
     region = lattice.make_box((0, 0), (args.n - 1, args.n - 1))
     data = _load_boundary(args, region)
     model = _model(args)
@@ -161,69 +161,43 @@ def _cmd_surface(args) -> int:
         )
         return 2
     p = potential.sample_potential(model, window, draw=0)
-    rng = np.random.default_rng([args.seed, 17])
-    if args.sweeps is not None:
-        eng = sampler.BoxGlauber(region, data, [p], rng, start="low")
-        eng.sweep(args.sweeps)
-        grid = eng.heights[0]
-    else:
+    sweeps = args.sweeps
+    if sweeps is None:
+        # about 10 span^2 updates per site, in burn_factor's span^2 unit
         span = window[1] - window[0] + 2
-        steps = (
-            args.steps
-            if args.steps is not None
-            else 10 * len(region) * span * span
-        )
-        final = sampler.run_chain(region, data, p, steps, rng)
-        grid = final.values_array().reshape(args.n, args.n)
+        sweeps = 10 * span * span
+    rng = np.random.default_rng([args.seed, 17])
+    eng = sampler.BoxGlauber(region, data, [p], rng, start="low")
+    eng.sweep(sweeps)
+    grid = eng.heights[0]
     _write_text(args.out, heights.format_grid(grid))
     print(f"wrote {args.n}x{args.n} surface to {args.out}")
     return 0
 
 
-_CONC_DEFAULTS = {
-    "ns": "9,15,25",
-    "c_values": "0.5,0.75,1.0,1.25,1.5,1.75,2.0",
-    "model": "twopoint:a=1",
-    "boundary": "extremal",
-    "direction": "1",
-    "A": "2.0",
-    "mode": "mc",
-    "tail_samples": "400",
-    "mean_draws": "200",
-    "mean_samples_per_draw": "50",
-    "burn_factor": "2.0",
-    "thin_factor": "0.125",
-    "start": "mid",
-    "seed": "0",
-}
-
-
 def _experiment_config(cfg: dict[str, str]) -> analysis.ExperimentConfig:
-    merged = dict(_CONC_DEFAULTS)
-    unknown = set(cfg) - set(merged)
+    """Parse config values over the ``ExperimentConfig`` defaults."""
+    fields = {
+        f.name: f.default for f in dataclasses.fields(analysis.ExperimentConfig)
+    }
+    unknown = set(cfg) - set(fields)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    merged.update(cfg)
     try:
-        model = potential.parse_model(
-            merged["model"], seed=int(merged["seed"])
-        )
-        return analysis.ExperimentConfig(
-            ns=tuple(int(x) for x in _split_list(merged["ns"])),
-            c_values=tuple(float(x) for x in _split_list(merged["c_values"])),
-            model=model,
-            boundary=merged["boundary"],
-            direction=int(merged["direction"]),
-            A=float(merged["A"]),
-            mode=merged["mode"],
-            tail_samples=int(merged["tail_samples"]),
-            mean_draws=int(merged["mean_draws"]),
-            mean_samples_per_draw=int(merged["mean_samples_per_draw"]),
-            burn_factor=float(merged["burn_factor"]),
-            thin_factor=float(merged["thin_factor"]),
-            start=merged["start"],
-            seed=int(merged["seed"]),
-        )
+        seed = int(cfg.get("seed", fields["seed"]))
+        values = {
+            "model": potential.parse_model(cfg["model"], seed=seed)
+            if "model" in cfg
+            else fields["model"].with_seed(seed)
+        }
+        for key, default in fields.items():
+            if key in cfg and key != "model":
+                if isinstance(default, tuple):
+                    parse = type(default[0])
+                    values[key] = tuple(map(parse, _split_list(cfg[key])))
+                else:
+                    values[key] = type(default)(cfg[key])
+        return analysis.ExperimentConfig(**values)
     except ValueError as err:
         raise UsageError(f"bad config value: {err}") from None
 
@@ -412,8 +386,11 @@ def _build_parser() -> _Parser:
     ps.add_argument("--direction", type=int, default=1, choices=(1, -1))
     ps.add_argument("--model", default="zero")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--steps", type=int, help="single-site steps")
-    ps.add_argument("--sweeps", type=int, help="checkerboard sweeps instead")
+    ps.add_argument(
+        "--sweeps", type=int,
+        help="checkerboard heat-bath sweeps (default 10 * span^2, where "
+        "span = hi - lo + 2 for the potential window [lo, hi])",
+    )
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=_cmd_surface)
 

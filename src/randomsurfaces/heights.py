@@ -41,7 +41,6 @@ __all__ = [
     "kirszbraun_extendable",
     "kirszbraun_violation",
     "enumerate_extensions",
-    "enumerate_extensions_unpruned",
     "min_max_extensions",
     "height_window",
     "extremal_boundary",
@@ -125,7 +124,10 @@ class HeightFunction:
         return self._map[tuple(v)]
 
     def __contains__(self, v) -> bool:
-        return tuple(v) in self._map
+        try:
+            return tuple(v) in self._map
+        except TypeError:  # not iterable, or unhashable coordinates
+            return False
 
     def __len__(self) -> int:
         return len(self.domain)
@@ -447,67 +449,6 @@ def enumerate_extensions(
         rows = zip(*chunk.T.tolist())
         members.extend(map(HeightFunction._trusted, repeat(domain), rows))
     return ExtensionSet(region, pinned_f, tuple(members))
-
-
-def enumerate_extensions_unpruned(
-    region: Region, pinned: Mapping[Vertex, int]
-) -> ExtensionSet:
-    """Reference enumeration without envelope pruning (test oracle).
-
-    Grows assignments breadth-first from the pinned set using only the
-    local +-1 constraint, then filters and sorts.  Exponentially slower
-    than ``enumerate_extensions``; intended for cross-checks on small
-    instances only.
-    """
-    vals = _pinned_map(region, pinned)
-    pinned_f = HeightFunction.from_dict(vals)
-    order: list[int] = []
-    seen = [False] * len(region)
-    from collections import deque
-
-    queue = deque(sorted(region.position(v) for v in vals))
-    for i in list(queue):
-        seen[i] = True
-    while queue:
-        i = queue.popleft()
-        order.append(i)
-        for j in region.neighbor_positions(i):
-            if not seen[j]:
-                seen[j] = True
-                queue.append(j)
-
-    nbrs = region._neighbor_positions
-    fixed_val = {region.position(v): z for v, z in vals.items()}
-    partial: dict[int, int] = {}
-    members: list[tuple[int, ...]] = []
-
-    def rec(k: int) -> None:
-        if k == len(order):
-            members.append(
-                tuple(partial[i] for i in range(len(region)))
-            )
-            return
-        i = order[k]
-        if i in fixed_val:
-            candidates = [fixed_val[i]]
-        else:
-            known = [partial[j] for j in nbrs[i] if j in partial]
-            # BFS order from the pinned set guarantees an assigned neighbor
-            candidates = [known[0] - 1, known[0] + 1]
-        for z in candidates:
-            if all(
-                abs(z - partial[j]) == 1
-                for j in nbrs[i]
-                if j in partial
-            ):
-                partial[i] = int(z)
-                rec(k + 1)
-                del partial[i]
-
-    rec(0)
-    members.sort()
-    out = tuple(HeightFunction(region.vertex_list, m) for m in members)
-    return ExtensionSet(region, pinned_f, out)
 
 
 def extremal_boundary(

@@ -15,22 +15,21 @@ rule "take the upper candidate iff u < P(upper)" with a shared uniform u
 and shared vertex choice couples two chains so that a pointwise height
 ordering is preserved forever.
 
-Two engines are provided, both on any region in any dimension: a
-single-site chain (``run_chain``, ``coupled_run``, ``glauber_step``; a
-Python loop over lists that draws its picks and uniforms in fixed
-chunks, with ``transition_matrix`` as its exact kernel), and a
-vectorized checkerboard-sweep engine that runs many chains in parallel
-(``BoxGlauber``; heights stored sites-major with the free sites of each
-parity in one contiguous block, so a half-sweep is one neighbour gather
-and one block write).  Both have the same stationary law (on a
-bipartite graph, same-parity sites have disjoint neighborhoods, so a
-half-sweep is a composition of commuting heat-bath kernels).
+Every sampled surface comes from ``BoxGlauber``, a vectorized
+checkerboard-sweep engine on any region in any dimension that runs many
+chains in parallel (heights stored sites-major with the free sites of
+each parity in one contiguous block, so a half-sweep is one neighbour
+gather and one block write).  On a bipartite graph same-parity sites
+have disjoint neighbourhoods, so a half-sweep is a composition of
+commuting single-site heat-bath kernels.  That single-site kernel is
+kept in exact form (``transition_matrix``) and as a pair of coupled
+chains (``coupled_run``, a Python loop that draws its picks and
+uniforms in fixed chunks), which witness the monotone coupling.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,9 +41,6 @@ from .lattice import Region, Vertex
 from .potential import Potential
 
 __all__ = [
-    "ChainState",
-    "glauber_step",
-    "run_chain",
     "coupled_run",
     "exact_sample",
     "sample_indices",
@@ -52,23 +48,8 @@ __all__ = [
     "BoxGlauber",
 ]
 
-# updates drawn per chunk by the single-site chains
+# updates drawn per chunk by the coupled single-site chains
 _CHUNK = 1 << 14
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """A Glauber chain snapshot: configuration, environment, step count."""
-
-    region: Region
-    pinned: HeightFunction
-    heights: tuple[int, ...]
-    potential: Potential
-    step: int = 0
-
-    @property
-    def current(self) -> HeightFunction:
-        return HeightFunction(self.region.vertex_list, self.heights)
 
 
 def _flip_table(values: np.ndarray, kmax: int) -> np.ndarray:
@@ -113,21 +94,18 @@ def _up_probability(
     return mn, (row[mn - plo] if mn == mx else 1.0)
 
 
-def _check_steps(steps: int) -> None:
-    if steps < 0:
-        raise ValueError(f"number of steps must be >= 0, got {steps}")
-
-
-def _start_state(
+def _covered_envelopes(
     region: Region, pinned: Mapping[Vertex, int], p: Potential
-) -> ChainState:
+) -> tuple[HeightFunction, HeightFunction]:
+    """The minimal and maximal extensions, once ``p``'s window is checked
+    to cover every edge minimum between them."""
     low, high = min_max_extensions(region, pinned)
     lo, hi = _edge_window(min(low.heights), max(high.heights))
     if not p.covers(lo, hi):
         raise ValueError(
             f"potential window {p.window} does not cover required [{lo}, {hi}]"
         )
-    return ChainState(region, as_height_function(pinned), low.heights, p, 0)
+    return low, high
 
 
 def _site_draws(rng: np.random.Generator, free: list[int], steps: int):
@@ -150,43 +128,6 @@ def _site_draws(rng: np.random.Generator, free: list[int], steps: int):
         yield positions[picks].tolist(), rng.random(c).tolist()
 
 
-def glauber_step(state: ChainState, rng: np.random.Generator) -> ChainState:
-    """One heat-bath update at a uniformly random free vertex."""
-    free, nbrs, rows = _single_site_plan(
-        state.region, state.pinned, state.potential
-    )
-    if not free:
-        return replace(state, step=state.step + 1)
-    h = list(state.heights)
-    i = free[int(rng.integers(len(free)))]
-    u = float(rng.random())
-    mn, p_up = _up_probability(h, nbrs[i], rows[i], state.potential.lo)
-    h[i] = mn + 1 if u < p_up else mn - 1
-    return replace(state, heights=tuple(h), step=state.step + 1)
-
-
-def run_chain(
-    region: Region,
-    pinned: Mapping[Vertex, int],
-    p: Potential,
-    steps: int,
-    rng: np.random.Generator,
-) -> HeightFunction:
-    """Run single-site Glauber from the minimal extension; return the end state."""
-    _check_steps(steps)
-    state = _start_state(region, pinned, p)
-    free, nbrs, rows = _single_site_plan(region, state.pinned, p)
-    if not free or steps == 0:
-        return state.current
-    h = list(state.heights)
-    plo = p.lo
-    for positions, us in _site_draws(rng, free, steps):
-        for i, u in zip(positions, us):
-            mn, p_up = _up_probability(h, nbrs[i], rows[i], plo)
-            h[i] = mn + 1 if u < p_up else mn - 1
-    return HeightFunction(region.vertex_list, tuple(h))
-
-
 def coupled_run(
     region: Region,
     pinned_low: Mapping[Vertex, int],
@@ -203,16 +144,17 @@ def coupled_run(
     keeps them ordered at every step (checked, raising AssertionError
     on violation — which would indicate a broken update rule).
     """
-    _check_steps(steps)
-    s_low = _start_state(region, pinned_low, p)
-    s_high = _start_state(region, pinned_high, p)
-    if s_low.pinned.domain != s_high.pinned.domain:
+    if steps < 0:
+        raise ValueError(f"number of steps must be >= 0, got {steps}")
+    h_low = list(_covered_envelopes(region, pinned_low, p)[0].heights)
+    h_high = list(_covered_envelopes(region, pinned_high, p)[0].heights)
+    pin_low = as_height_function(pinned_low)
+    pin_high = as_height_function(pinned_high)
+    if pin_low.domain != pin_high.domain:
         raise ValueError("coupled chains need a common pinned vertex set")
-    if not s_low.pinned.le(s_high.pinned):
+    if not pin_low.le(pin_high):
         raise ValueError("boundary data must be ordered low <= high")
-    free, nbrs, rows = _single_site_plan(region, s_low.pinned, p)
-    h_low = list(s_low.heights)
-    h_high = list(s_high.heights)
+    free, nbrs, rows = _single_site_plan(region, pin_low, p)
     if any(a > b for a, b in zip(h_low, h_high)):
         raise AssertionError("minimal extensions not ordered")
     plo = p.lo
@@ -334,13 +276,7 @@ class BoxGlauber:
                 raise ValueError("all potentials must share one window")
         if start not in ("low", "mid"):
             raise ValueError(f"start must be 'low' or 'mid', got {start!r}")
-        lo_f, hi_f = min_max_extensions(region, pinned)
-        need_lo, need_hi = _edge_window(min(lo_f.heights), max(hi_f.heights))
-        if not potentials[0].covers(need_lo, need_hi):
-            raise ValueError(
-                f"potential window {win} does not cover required "
-                f"[{need_lo}, {need_hi}]"
-            )
+        lo_f, hi_f = _covered_envelopes(region, pinned, potentials[0])
 
         coords = region._coords
         lows, highs = region._bounds()

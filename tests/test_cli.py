@@ -119,7 +119,7 @@ class TestSurface:
         out_file = tmp_path / "surface.grid"
         code, out, _ = run(
             capsys, "surface", "--n", "3", "--boundary", "parity",
-            "--steps", "0", "--out", str(out_file),
+            "--sweeps", "0", "--out", str(out_file),
         )
         assert code == 0
         grid = parse_grid(out_file.read_text())
@@ -130,7 +130,7 @@ class TestSurface:
     def test_default_boundary_is_extremal(self, tmp_path, capsys):
         out_file = tmp_path / "surface.grid"
         code, _, _ = run(
-            capsys, "surface", "--n", "4", "--steps", "0",
+            capsys, "surface", "--n", "4", "--sweeps", "0",
             "--out", str(out_file),
         )
         assert code == 0
@@ -167,7 +167,7 @@ class TestSurface:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("flag", ["--steps", "--sweeps"])
+    @pytest.mark.parametrize("flag", ["--sweeps"])
     def test_negative_count_rejected(self, tmp_path, capsys, flag):
         out_file = tmp_path / "x.grid"
         code, _, err = run(
@@ -176,6 +176,31 @@ class TestSurface:
         assert code == 1
         assert flag in err
         assert not out_file.exists()
+
+    def test_steps_flag_is_gone(self, tmp_path, capsys):
+        # work is counted in sweeps only
+        out_file = tmp_path / "x.grid"
+        code, _, err = run(
+            capsys, "surface", "--n", "3", "--steps", "5",
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert "unrecognized arguments: --steps" in err
+        assert not out_file.exists()
+
+    def test_default_sweeps_are_ten_span_squared(self, tmp_path, capsys):
+        # the 5x5 extremal ring needs the window [0, 3]: span 5, 250
+        # sweeps; under the zero potential 249 or 251 sweeps end elsewhere
+        grids = []
+        for extra in ([], ["--sweeps", "250"], ["--sweeps", "251"]):
+            out_file = tmp_path / f"s{len(grids)}.grid"
+            code, _, _ = run(
+                capsys, "surface", "--n", "5", "--seed", "2",
+                "--out", str(out_file), *extra,
+            )
+            assert code == 0
+            grids.append(out_file.read_bytes())
+        assert grids[0] == grids[1] != grids[2]
 
     def test_bad_model_rejected(self, tmp_path, capsys):
         code, _, err = run(

@@ -1,4 +1,4 @@
-"""Glauber dynamics: single-site chains, exact kernels, batched sweeps.
+"""Glauber dynamics: exact kernels, coupled chains, batched sweeps.
 
 The single-site update resamples one vertex from its conditional law,
 so the kernel built by ``transition_matrix`` must be stochastic,
@@ -32,11 +32,8 @@ from randomsurfaces.lattice import Region, boundary, make_box
 from randomsurfaces.potential import Potential, PotentialModel, sample_potential
 from randomsurfaces.sampler import (
     BoxGlauber,
-    ChainState,
     coupled_run,
     exact_sample,
-    glauber_step,
-    run_chain,
     sample_indices,
     transition_matrix,
 )
@@ -91,63 +88,14 @@ class TestTransitionMatrix:
 
 
 class TestSingleSiteChain:
-    def test_run_chain_output_is_valid(self):
-        lo, hi = required_window(BOX3, CORNER_PIN)
-        p = sample_potential(PotentialModel("uniform", 1.0, 1), (lo, hi))
-        rng = np.random.default_rng(0)
-        final = run_chain(BOX3, CORNER_PIN, p, 500, rng)
-        assert validate(BOX3, final.as_dict())
-        assert final[(0, 0)] == 0 and final[(2, 2)] == 0
-
-    def test_run_chain_zero_steps_returns_minimal(self):
-        lo, hi = required_window(BOX3, CORNER_PIN)
-        p = sample_potential(PotentialModel("uniform", 1.0, 1), (lo, hi))
-        low, _ = min_max_extensions(BOX3, CORNER_PIN)
-        got = run_chain(BOX3, CORNER_PIN, p, 0, np.random.default_rng(0))
-        assert got == low
-
     def test_negative_steps_rejected(self):
         lo, hi = required_window(BOX3, RING_PIN.shift(2))
         p = sample_potential(PotentialModel("uniform", 1.0, 1), (lo - 2, hi))
-        with pytest.raises(ValueError, match="steps"):
-            run_chain(BOX3, CORNER_PIN, p, -3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="steps"):
             coupled_run(
                 BOX3, RING_PIN, RING_PIN.shift(2), p, -3,
                 np.random.default_rng(0),
             )
-
-    def test_run_chain_deterministic(self):
-        lo, hi = required_window(BOX3, CORNER_PIN)
-        p = sample_potential(PotentialModel("uniform", 1.0, 1), (lo, hi))
-        a = run_chain(BOX3, CORNER_PIN, p, 300, np.random.default_rng(7))
-        b = run_chain(BOX3, CORNER_PIN, p, 300, np.random.default_rng(7))
-        assert a == b
-
-    def test_run_chain_rejects_narrow_potential(self):
-        p = Potential(0, 0, np.zeros(1))
-        with pytest.raises(ValueError):
-            run_chain(BOX3, CORNER_PIN, p, 10, np.random.default_rng(0))
-
-    def test_glauber_step_changes_at_most_one_free_site(self):
-        lo, hi = required_window(BOX3, CORNER_PIN)
-        p = sample_potential(PotentialModel("uniform", 1.0, 4), (lo, hi))
-        low, _ = min_max_extensions(BOX3, CORNER_PIN)
-        state = ChainState(BOX3, low.restrict(list(CORNER_PIN)), low.heights, p)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            nxt = glauber_step(state, rng)
-            diff = [
-                i for i, (a, b) in enumerate(zip(state.heights, nxt.heights))
-                if a != b
-            ]
-            assert len(diff) <= 1
-            if diff:
-                v = BOX3.vertex_list[diff[0]]
-                assert v not in CORNER_PIN
-            assert nxt.step == state.step + 1
-            state = nxt
-        assert validate(BOX3, state.current.as_dict())
 
 
 class TestExactSampling:
@@ -575,18 +523,20 @@ class TestClosedFormMatchesEnergySums:
             (PATH5, {(0,): 0, (4,): 0}, 2_000),
         ],
     )
-    def test_run_chain(self, region, pinned, steps):
-        (p,) = window_potentials(region, pinned, [("uniform", 1.5, 2, 0)])
-        low, _ = min_max_extensions(region, pinned)
+    def test_coupled_run_on_regions(self, region, pinned, steps):
+        # the data and the data raised by 2: two distinct ordered chains
+        high = {v: z + 2 for v, z in pinned.items()}
+        (p,) = window_potentials(region, high, [("uniform", 1.5, 2, 0)], pad=2)
         rng = np.random.default_rng(8)
-        got = run_chain(region, pinned, p, steps, rng)
+        got = coupled_run(region, pinned, high, p, steps, rng)
+        starts = [
+            min_max_extensions(region, d)[0].heights for d in (pinned, high)
+        ]
         ref_rng = np.random.default_rng(8)
-        (want,) = reference_chains(
-            region, free_positions(region, pinned), [low.heights], p, steps,
-            ref_rng,
+        want = reference_chains(
+            region, free_positions(region, pinned), starts, p, steps, ref_rng
         )
-        assert list(got.heights) == want
-        # the chunked draws leave the generator where one-shot draws do
+        assert [list(f.heights) for f in got] == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("steps", [3_000, 40_000])
@@ -641,11 +591,6 @@ class TestExtremePotentials:
             warnings.simplefilter("error")
             yield
 
-    def test_run_chain(self):
-        (p,) = window_potentials(BOX9, ring(BOX9), [("uniform", 1000.0, 1, 0)])
-        f = run_chain(BOX9, ring(BOX9), p, 5_000, np.random.default_rng(0))
-        assert validate(BOX9, f.as_dict())
-
     def test_coupled_run(self):
         high_pin = RING_PIN.shift(2)
         (p,) = window_potentials(
@@ -672,14 +617,16 @@ class TestExtremePotentials:
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_run_chain_memory_is_bounded_by_a_chunk():
+def test_coupled_run_memory_is_bounded_by_a_chunk():
     # one-shot draws of 500k picks and uniforms would hold 8 MB of arrays
     # alone, before their conversion to lists
-    lo, hi = required_window(BOX3, CORNER_PIN)
-    p = sample_potential(PotentialModel("uniform", 1.0, 1), (lo, hi))
+    high_pin = RING_PIN.shift(2)
+    (p,) = window_potentials(BOX3, high_pin, [("uniform", 1.0, 1, 0)], pad=2)
     tracemalloc.start()
     try:
-        run_chain(BOX3, CORNER_PIN, p, 500_000, np.random.default_rng(0))
+        coupled_run(
+            BOX3, RING_PIN, high_pin, p, 500_000, np.random.default_rng(0)
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

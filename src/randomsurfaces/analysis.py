@@ -237,9 +237,9 @@ def dominates_by_upper_sets(
     """
     if lower.region.vertex_list != upper.region.vertex_list:
         raise ValueError("measures live on different regions")
-    atoms = sorted(
-        {m.heights for m in lower.support} | {m.heights for m in upper.support}
-    )
+    lower_rows = list(map(tuple, lower.support.members_array.tolist()))
+    upper_rows = list(map(tuple, upper.support.members_array.tolist()))
+    atoms = sorted(set(lower_rows) | set(upper_rows))
     n = len(atoms)
     if n > atom_cap:
         raise ValueError(f"{n} atoms exceed the oracle cap {atom_cap}")
@@ -251,10 +251,10 @@ def dominates_by_upper_sets(
     mu_mass = np.zeros(n)
     nu_mass = np.zeros(n)
     index = {a: i for i, a in enumerate(atoms)}
-    for m, pr in zip(lower.support, lower.probabilities):
-        mu_mass[index[m.heights]] += pr
-    for m, pr in zip(upper.support, upper.probabilities):
-        nu_mass[index[m.heights]] += pr
+    for row, pr in zip(lower_rows, lower.probabilities):
+        mu_mass[index[row]] += pr
+    for row, pr in zip(upper_rows, upper.probabilities):
+        nu_mass[index[row]] += pr
 
     worst = None
     for mask in range(1, 1 << n):
@@ -419,26 +419,39 @@ def martingale_audit(
     )
     cols = [region.position(v) for v in walk]
     vals = support.members_array[:, cols]  # (members, walk length)
-    target = support.members_array[:, region.position(walk[-1])].astype(float)
+    target = support.members_array[:, cols[-1]].astype(float)
+    weighted = probs * target
 
+    # Group members by walk prefix, level by level: a prefix of length k
+    # is coded as (its parent prefix's group) * radix + (value at step k),
+    # and groups are numbered in order of first appearance, the order the
+    # per-member dict grouping gives.  bincount adds in member order, so
+    # every mass and sum is the same float as a member-by-member sum.
+    group = np.zeros(len(vals), dtype=np.int64)
+    keys = [()]
     levels = []
-    for k in range(len(walk) + 1):
-        groups: dict[tuple[int, ...], tuple[float, float]] = {}
-        keys = [tuple(int(z) for z in row[:k]) for row in vals]
-        acc: dict[tuple[int, ...], list[float]] = {}
-        for key, pr, tv in zip(keys, probs, target):
-            mass_sum = acc.setdefault(key, [0.0, 0.0])
-            mass_sum[0] += pr
-            mass_sum[1] += pr * tv
-        for key, (mass, wsum) in acc.items():
-            groups[key] = (mass, wsum / mass)
-        levels.append(groups)
-
     max_diff = 0.0
-    for k in range(len(walk)):
-        for key, (_, child_mean) in levels[k + 1].items():
-            parent_mean = levels[k][key[:k]][1]
-            max_diff = max(max_diff, abs(child_mean - parent_mean))
+    for k in range(len(walk) + 1):
+        if k:
+            step = vals[:, k - 1] - vals[:, k - 1].min()
+            codes = group * (int(step.max()) + 1) + step
+            _, first, inverse = np.unique(
+                codes, return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            first = first[order]
+            parent_mean = mean[group[first]]
+            group = rank[inverse]
+            keys = zip(*vals[first, :k].T.tolist())
+        mass = np.bincount(group, weights=probs)
+        mean = np.bincount(group, weights=weighted) / mass
+        if k:
+            diff = np.fmax.reduce(np.abs(mean - parent_mean))
+            max_diff = max(max_diff, float(diff))  # a nan never wins, as in max()
+        levels.append(dict(zip(keys, zip(mass.tolist(), mean.tolist()))))
+
     return MartingaleAudit(
         tuple(walk), levels[0][()][1], tuple(levels), max_diff
     )
@@ -544,6 +557,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.mode not in ("mc", "exact"):
+            raise ValueError(f"mode must be 'mc' or 'exact', got {self.mode!r}")
+        for key in ("ns", "c_values"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must name at least one value")
         _check_sampling_knobs(
             {
                 key: getattr(self, key)

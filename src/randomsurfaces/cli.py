@@ -134,8 +134,8 @@ def _cmd_enumerate(args) -> int:
     print(f"extensions: {len(support)}")
     if args.list:
         print("vertices: " + "  ".join(_fmt_vertex(v) for v in region))
-        for member in support:
-            print(" ".join(str(z) for z in member.heights))
+        for row in support.members_array.tolist():
+            print(" ".join(map(str, row)))
     return 0
 
 

@@ -12,7 +12,8 @@ by more than the within-region graph distance.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Mapping
@@ -34,6 +35,7 @@ __all__ = [
     "HeightFunction",
     "as_height_function",
     "ExtensionSet",
+    "MemberView",
     "NoExtensionError",
     "parity_height",
     "validate",
@@ -334,32 +336,101 @@ def height_window(
     return (min(lo_f.heights), max(hi_f.heights))
 
 
-@dataclass(frozen=True)
+def _heights(offsets: np.ndarray, base: int) -> np.ndarray:
+    """Offset rows back to int64 heights, in a new array."""
+    arr = offsets.astype(np.int64)
+    arr += base
+    return arr
+
+
+class MemberView(Sequence):
+    """The members of an ExtensionSet, as a read-only tuple-like view.
+
+    Holds the set's offset rows and base and builds a new HeightFunction
+    each time a member is read: indexing builds one, iteration builds
+    them a chunk of rows at a time, and a slice is again a view.  A view
+    compares equal to a tuple of the same HeightFunctions and to a view
+    with the same domain and rows; like a list it is unhashable.
+    """
+
+    __slots__ = ("_offsets", "_base", "_domain")
+
+    def __init__(
+        self, offsets: np.ndarray, base: int, domain: tuple[Vertex, ...]
+    ):
+        self._offsets = offsets
+        self._base = base
+        self._domain = domain
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return MemberView(self._offsets[k], self._base, self._domain)
+        row = _heights(self._offsets[operator.index(k)], self._base)
+        return HeightFunction._trusted(self._domain, tuple(row.tolist()))
+
+    def __iter__(self):
+        for k in range(0, len(self._offsets), _MEMBER_CHUNK):
+            chunk = _heights(self._offsets[k : k + _MEMBER_CHUNK], self._base)
+            rows = zip(*chunk.T.tolist())
+            yield from map(HeightFunction._trusted, repeat(self._domain), rows)
+
+    def __eq__(self, other):
+        if isinstance(other, MemberView):
+            return len(self) == len(other) and (
+                not len(self)
+                or self._domain == other._domain
+                and np.array_equal(
+                    _heights(self._offsets, self._base),
+                    _heights(other._offsets, other._base),
+                )
+            )
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<MemberView of {len(self)} members>"
+
+
+@dataclass(frozen=True, eq=False)
 class ExtensionSet:
     """All extensions of pinned data to a region, in lexicographic order.
 
-    ``members`` are sorted by their value tuple (aligned with
-    ``region.vertex_list``), the order in which ``enumerate_extensions``
-    grows them level by level, so any two ExtensionSets over the same
-    region whose members are shifts of one another align index by index.
+    Stored as one array: row i of ``offsets`` holds member i's heights
+    minus ``base``, aligned with ``region.vertex_list``, in the narrow
+    integer type ``enumerate_extensions`` grew it in.  Rows are sorted by
+    value tuple, so any two ExtensionSets over the same region whose
+    members are shifts of one another align index by index.
+    ``members_array`` is the int64 height array (read-only, built once);
+    ``members`` is a lazy ``MemberView`` that builds a new HeightFunction
+    on each access, so code that needs only heights should read rows.
     """
 
     region: Region
     pinned: HeightFunction
-    members: tuple[HeightFunction, ...]
+    offsets: np.ndarray = field(repr=False)
+    base: int = 0
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.offsets)
 
     def __iter__(self):
         return iter(self.members)
 
+    @property
+    def members(self) -> MemberView:
+        """The members as HeightFunctions, built on access."""
+        return MemberView(self.offsets, self.base, self.region.vertex_list)
+
     @cached_property
     def members_array(self) -> np.ndarray:
-        """(num members) x (region size) int array of heights."""
-        if not self.members:
-            return np.empty((0, len(self.region)), dtype=np.int64)
-        return np.asarray([m.heights for m in self.members], dtype=np.int64)
+        """(num members) x (region size) read-only int64 array of heights."""
+        arr = _heights(self.offsets, self.base)
+        arr.flags.writeable = False
+        return arr
 
     def index_of(self, member: HeightFunction) -> int:
         try:
@@ -369,7 +440,9 @@ class ExtensionSet:
 
     @cached_property
     def _member_index(self) -> dict[tuple[int, ...], int]:
-        return {m.heights: i for i, m in enumerate(self.members)}
+        """Row index by height tuple."""
+        rows = zip(*self.members_array.T.tolist())
+        return {row: i for i, row in enumerate(rows)}
 
     @cached_property
     def _annealed_laws(self) -> dict[tuple, np.ndarray]:
@@ -380,7 +453,7 @@ class ExtensionSet:
         return {}
 
 
-_MEMBER_CHUNK = 1024  # rows turned into member tuples at a time
+_MEMBER_CHUNK = 1024  # rows turned into members at a time
 _TWO_CANDIDATES = np.array([0, 2], dtype=np.int8)  # offsets lo and lo + 2
 
 
@@ -405,7 +478,7 @@ def enumerate_extensions(
     n = len(region.vertex_list)
     env_low, env_high = _envelopes(region, vals)
     if (env_low > env_high).any():  # exactly when a pinned gap is too wide
-        return ExtensionSet(region, pinned_f, ())
+        return ExtensionSet(region, pinned_f, np.empty((0, n), dtype=np.int8))
 
     base = int(env_low.min())
     low = (env_low - base).tolist()
@@ -441,14 +514,8 @@ def enumerate_extensions(
             partials = partials.repeat(len(cand), axis=0)
             partials[:, i] = np.tile(cand, len(partials) // len(cand))
 
-    domain = region.vertex_list
-    members = []
-    for k in range(0, len(partials), _MEMBER_CHUNK):
-        chunk = partials[k : k + _MEMBER_CHUNK].astype(np.int64)
-        chunk += base
-        rows = zip(*chunk.T.tolist())
-        members.extend(map(HeightFunction._trusted, repeat(domain), rows))
-    return ExtensionSet(region, pinned_f, tuple(members))
+    partials.flags.writeable = False
+    return ExtensionSet(region, pinned_f, partials, base)
 
 
 def extremal_boundary(

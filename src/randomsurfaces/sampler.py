@@ -207,19 +207,19 @@ def transition_matrix(mu: QuenchedMeasure) -> np.ndarray:
     )
     if not free:
         return np.eye(len(support))
-    index = {m.heights: i for i, m in enumerate(support.members)}
+    index = support._member_index
     P = np.zeros((len(support), len(support)))
     plo = mu.potential.lo
-    for s, g in enumerate(support.members):
-        h = list(g.heights)
+    for s, h in enumerate(support.members_array.tolist()):
         for i in free:
+            z = h[i]
             mn, p_up = _up_probability(h, nbrs[i], rows[i], plo)
             h[i] = mn + 1
             P[s, index[tuple(h)]] += p_up / len(free)
             if p_up < 1.0:  # a free choice: the lower height is a member
                 h[i] = mn - 1
                 P[s, index[tuple(h)]] += (1.0 - p_up) / len(free)
-            h[i] = g.heights[i]
+            h[i] = z
     return P
 
 

@@ -434,6 +434,62 @@ class TestMartingaleAudit:
             )
 
 
+def tuple_grouping_audit(support, probs, walk):
+    """The audit's former grouping: one Python tuple per member per level.
+
+    Returns (target mean, levels, max_diff) as the per-member dict code
+    computed them, for a regression check of the numpy grouping.
+    """
+    region = support.region
+    vals = support.members_array[:, [region.position(v) for v in walk]]
+    target = support.members_array[:, region.position(walk[-1])].astype(float)
+    levels = []
+    for k in range(len(walk) + 1):
+        keys = [tuple(int(z) for z in row[:k]) for row in vals]
+        acc = {}
+        for key, pr, tv in zip(keys, probs, target):
+            mass_sum = acc.setdefault(key, [0.0, 0.0])
+            mass_sum[0] += pr
+            mass_sum[1] += pr * tv
+        levels.append({key: (m, w / m) for key, (m, w) in acc.items()})
+    max_diff = 0.0
+    for k in range(len(walk)):
+        for key, (_, child_mean) in levels[k + 1].items():
+            parent_mean = levels[k][key[:k]][1]
+            max_diff = max(max_diff, abs(child_mean - parent_mean))
+    return levels[0][()][1], tuple(levels), max_diff
+
+
+class TestAuditMatchesTupleGrouping:
+    """The numpy prefix grouping gives the tuple grouping's floats, in its
+    key order, on every walk of the 5x5 ring and a walk set of the 6x6."""
+
+    @pytest.mark.parametrize("mode,samples", [("exact", 0), ("mc", 30)])
+    @pytest.mark.parametrize("n,stride", [(5, 1), (6, 13)])
+    def test_levels_bit_identical_in_key_order(self, n, stride, mode, samples):
+        box = make_box((0, 0), (n - 1, n - 1))
+        ring = parity_height(box).restrict(boundary(box))
+        support = enumerate_extensions(box, ring)
+        model = PotentialModel("twopoint", 0.8, 1)
+        probs = annealed_member_probabilities(
+            support, model, mode=mode, samples=samples
+        )
+        interior = sorted(set(box.vertex_list) - set(ring.domain))
+        walks = boundary_to_interior_walks(box, ring.domain, interior)
+        walks = walks[::stride]
+        assert len(walks) in (144, 25)
+        for walk in walks:
+            audit = martingale_audit(
+                box, ring, walk, model, mode=mode, samples=samples,
+                support=support,
+            )
+            mean, levels, max_diff = tuple_grouping_audit(support, probs, walk)
+            assert audit.levels == levels
+            assert [list(g) for g in audit.levels] == [list(g) for g in levels]
+            assert audit.target_mean == mean
+            assert audit.max_diff == max_diff
+
+
 class TestWalks:
     def test_3x3_walks(self):
         walks = boundary_to_interior_walks(BOX3, RING3.domain, [(1, 1)])
@@ -625,6 +681,18 @@ class TestBoundaryDataAndConfig:
                 PotentialModel("twopoint", 1.0, 0), n_small=5, n_large=9,
                 **{"seeds": 4, "mean_draws": 3, key: value},
             )
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("mode", "weird"), ("mode", ""), ("ns", ()), ("c_values", ())],
+    )
+    def test_experiment_rejects_bad_mode_and_empty_lists(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**{key: value})
+
+    def test_experiment_accepts_both_modes(self):
+        assert ExperimentConfig(mode="exact").mode == "exact"
+        assert ExperimentConfig(mode="mc").mode == "mc"
 
     def test_experiment_accepts_smallest_counts(self):
         cfg = ExperimentConfig(

@@ -59,6 +59,28 @@ class TestEnumerate:
         assert lines[1].startswith("vertices:")
         assert len(lines) == 4  # header + vertex row + 2 members
 
+    def test_list_rows_far_from_zero(self, tmp_path, capsys):
+        # the ring of the 3x3 box raised by 10^9: each member row is the
+        # member's heights in vertex order, as plain integers
+        from randomsurfaces.heights import enumerate_extensions, parse_heights
+        from randomsurfaces.lattice import make_box
+
+        raised = "2\n" + "".join(
+            f"{line[:-1]}{10**9 + int(line[-1])}\n"
+            for line in RING_FILE.splitlines()[1:]
+        )
+        f = tmp_path / "ring.heights"
+        f.write_text(raised)
+        code, out, _ = run(
+            capsys, "enumerate", "--box", "3", "--boundary-file", str(f),
+            "--list",
+        )
+        assert code == 0
+        support = enumerate_extensions(make_box((0, 0), (2, 2)), parse_heights(raised))
+        rows = [" ".join(map(str, m.heights)) for m in support.members]
+        assert out.splitlines()[2:] == rows
+        assert "1000000001" in rows[0]
+
     def test_boundary_file(self, tmp_path, capsys):
         f = tmp_path / "ring.heights"
         f.write_text(RING_FILE)
@@ -270,6 +292,27 @@ class TestConcentration:
     def test_bad_count_exits_1(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("ns = 3\nmode = mc\n" + line + "\n")
+        out_file = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "concentration", "--config", str(cfg),
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert "bad config value" in err and key in err
+        assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "lines,key",
+        [
+            ("ns = 3\nmode = weird\n", "mode"),
+            ("ns =\nmode = mc\n", "ns"),
+            ("ns = 3\nc_values =\n", "c_values"),
+        ],
+    )
+    def test_bad_mode_or_empty_list_exits_1(self, tmp_path, capsys, lines, key):
+        # these used to run the Monte Carlo path, or nothing, and exit 0
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(lines)
         out_file = tmp_path / "r.csv"
         code, out, err = run(
             capsys, "concentration", "--config", str(cfg),

@@ -575,6 +575,124 @@ class TestLevelSynchronousEnumeration:
         assert len(set(rows)) == len(rows)
 
 
+def eager_members(support):
+    """The eager construction ``enumerate_extensions`` used to end with.
+
+    Every row of the offset array becomes a HeightFunction up front, a
+    chunk at a time, and the int64 array is rebuilt from their tuples.
+    """
+    domain = support.region.vertex_list
+    members = []
+    for k in range(0, len(support.offsets), 1024):
+        chunk = support.offsets[k : k + 1024].astype(np.int64)
+        chunk += support.base
+        rows = zip(*chunk.T.tolist())
+        members.extend(map(HeightFunction._trusted, itertools.repeat(domain), rows))
+    members = tuple(members)
+    if not members:
+        return members, np.empty((0, len(support.region)), dtype=np.int64)
+    return members, np.asarray([m.heights for m in members], dtype=np.int64)
+
+
+class TestArrayBackedExtensionSet:
+    PIN5 = {(0,): 0, (4,): 0}  # six members on PATH5
+
+    def test_matches_eager_construction_on_random_instances(self, metric_instances):
+        nonempty = 0
+        for region, pins, _ in metric_instances:
+            support = enumerate_extensions(region, pins)
+            members, arr = eager_members(support)
+            assert tuple(support.members) == members
+            assert support.members_array.dtype == np.int64
+            assert np.array_equal(support.members_array, arr)
+            assert len(support) == len(members)
+            nonempty += bool(members)
+        assert 0 < nonempty < len(metric_instances)
+
+    def test_view_has_tuple_semantics(self):
+        support = enumerate_extensions(PATH5, self.PIN5)
+        view = support.members
+        want, _ = eager_members(support)
+        assert len(view) == 6
+        assert view == want and view != want[:-1]
+        assert view[0] == want[0] and view[-1] == want[-1] and view[-6] == want[0]
+        assert view[np.int64(2)] == want[2]
+        for k in (6, -7):
+            with pytest.raises(IndexError):
+                view[k]
+        with pytest.raises(TypeError):
+            view[1.0]
+        assert view[1:4] == want[1:4] and view[::-2] == want[::-2]
+        assert view[4:2] == () and len(view[4:2]) == 0
+        assert tuple(view) == tuple(view) == want  # iterates again
+        assert list(reversed(view)) == list(reversed(want))
+        assert view[2] in view and view.index(view[3]) == 3
+        assert view == support.members == enumerate_extensions(PATH5, self.PIN5).members
+        assert view != enumerate_extensions(PATH5, {(0,): 2, (4,): 2}).members
+        assert view != list(want)  # like a tuple, not equal to a list
+        with pytest.raises(TypeError):
+            hash(view)
+
+    def test_every_access_builds_a_new_member(self):
+        support = enumerate_extensions(PATH5, self.PIN5)
+        assert support.members[0] == support.members[0]
+        assert support.members[0] is not support.members[0]
+        assert [type(z) for z in support.members[-1].heights] == [int] * 5
+
+    def test_members_array_is_read_only(self):
+        support = enumerate_extensions(PATH5, self.PIN5)
+        arr = support.members_array
+        assert arr is support.members_array  # built once
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7
+
+    def test_exact_layer_builds_no_member(self, monkeypatch):
+        from randomsurfaces import analysis, cli, gibbs, sampler
+        from randomsurfaces.potential import PotentialModel, sample_potential
+
+        box = make_box((0, 0), (3, 3))
+        ring = parity_height(box).restrict(boundary(box))
+        member = enumerate_extensions(box, ring).members[3]
+
+        def no_member(cls, domain, heights):
+            raise AssertionError("a HeightFunction member was built")
+
+        monkeypatch.setattr(HeightFunction, "_trusted", classmethod(no_member))
+        support = enumerate_extensions(box, ring)
+        assert len(support) == 7
+        assert support.members_array.shape == (7, 16)
+        assert support.index_of(member) == 3
+        model = PotentialModel("twopoint", 1.0, 2)
+        gibbs.annealed_member_probabilities(support, model)
+        p = sample_potential(model, (-1, 4), draw=0)
+        mu = gibbs.quenched_measure(box, ring, p, support=support)
+        nu = gibbs.quenched_measure(box, ring.shift(2), p)
+        assert analysis.dominance_certificate(mu, nu).dominated
+        assert not analysis.dominance_certificate(nu, mu).dominated
+        assert analysis.dominates_by_upper_sets(mu, nu)[0]
+        walk = [(0, 1), (1, 1), (1, 2)]
+        analysis.martingale_audit(box, ring, walk, model, support=support)
+        sampler.transition_matrix(mu)
+        assert gibbs.check_shift_identity(box, ring, p) < 1e-12
+        assert cli.main(["enumerate", "--box", "4", "--boundary", "parity", "--list"]) == 0
+
+    def test_enumeration_memory_peak(self):
+        # the 64,914 offset rows of the 7x7 ring are int8, 3 MiB; building
+        # a HeightFunction per member peaked at about 37 MiB
+        import tracemalloc
+
+        box = make_box((0, 0), (6, 6))
+        ring = parity_height(box).restrict(boundary(box))
+        tracemalloc.start()
+        try:
+            support = enumerate_extensions(box, ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(support) == 64_914
+        assert peak < 16 * 2**20
+
+
 class TestStructuralInvariants:
     def test_pointwise_min_and_max_stay_in_the_set(self):
         # extension sets are lattices: member pairs close under min/max

@@ -17,7 +17,6 @@ Three layers:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -41,6 +40,7 @@ from .heights import (
 from .lattice import (
     Region,
     Vertex,
+    _bfs,
     boundary,
     make_box,
     multi_source_distances,
@@ -462,29 +462,30 @@ def boundary_to_interior_walks(
     pinned_domain: Iterable[Vertex],
     targets: Iterable[Vertex],
 ) -> list[list[Vertex]]:
-    """Shortest walks from each pinned vertex to each target (BFS paths)."""
+    """Shortest walks from each pinned vertex to each target.
+
+    One breadth-first search per start (sorted); each walk follows that
+    search's tree from the start to a target (sorted), skipping the start
+    itself.  A start or target outside the region raises ValueError.
+    """
     starts = sorted({tuple(v) for v in pinned_domain})
     tgts = sorted({tuple(v) for v in targets})
+    for v in (*starts, *tgts):
+        if v not in region:
+            raise ValueError(f"walk endpoint {v} lies outside the region")
+    vertex_list = region.vertex_list
+    cols = [region.position(t) for t in tgts]
     walks = []
     for x0 in starts:
-        # BFS tree rooted at x0
-        parent: dict[Vertex, Vertex | None] = {x0: None}
-        queue = deque([x0])
-        while queue:
-            cur = queue.popleft()
-            i = region.position(cur)
-            for j in region.neighbor_positions(i):
-                w = region.vertex_list[j]
-                if w not in parent:
-                    parent[w] = cur
-                    queue.append(w)
-        for t in tgts:
-            if t == x0 or t not in parent:
+        i0 = region.position(x0)
+        _, via = _bfs(region._neighbor_positions, [(0, i0)])
+        for j in cols:
+            if j == i0:
                 continue
-            pathway = [t]
-            while pathway[-1] != x0:
-                pathway.append(parent[pathway[-1]])
-            walks.append(list(reversed(pathway)))
+            pathway = [j]
+            while pathway[-1] != i0:
+                pathway.append(via[pathway[-1]])
+            walks.append([vertex_list[i] for i in reversed(pathway)])
     return walks
 
 
@@ -671,31 +672,15 @@ def _check_hypotheses(region: Region, n: int, A: float) -> tuple[int, int]:
 
 
 def _mean_field(
-    region: Region,
-    pinned: HeightFunction,
-    model: PotentialModel,
-    window: tuple[int, int],
-    draws: int,
-    per_draw: int,
-    burn: int,
-    thin: int,
-    start: str,
-    seed_key: Sequence[int],
-    first_draw: int,
+    eng: BoxGlauber, per_draw: int, thin: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Annealed per-vertex means and their standard errors, by batch MCMC.
 
-    One chain per potential draw; after burn-in, ``per_draw`` thinned
-    configurations are averaged per chain, then across chains.
+    ``per_draw`` configurations, ``thin`` sweeps apart, are averaged per
+    chain of the burned-in ``eng``, then across chains.
     """
-    pots = [
-        sample_potential(model, window, draw=first_draw + d)
-        for d in range(draws)
-    ]
-    rng = np.random.default_rng(list(seed_key))
-    eng = BoxGlauber(region, pinned, pots, rng, start=start)
-    eng.sweep(burn)
-    acc = np.zeros((draws, len(region)))
+    draws, n = eng.batch, len(eng.region)
+    acc = np.zeros((draws, n))
     for s in range(per_draw):
         if s:
             eng.sweep(thin)
@@ -705,33 +690,45 @@ def _mean_field(
     stderr = (
         per_chain.std(axis=0, ddof=1) / math.sqrt(draws)
         if draws > 1
-        else np.full(len(region), np.inf)
+        else np.full(n, np.inf)
     )
     return mean, stderr
 
 
-def _deviation_samples(
+def _sampled_deviations(
     region: Region,
     pinned: HeightFunction,
-    model: PotentialModel,
     window: tuple[int, int],
-    count: int,
-    burn: int,
-    start: str,
-    seed_key: Sequence[int],
-    first_draw: int,
-    mean: np.ndarray,
-) -> np.ndarray:
-    """Max-over-vertices absolute deviation, one sample per fresh draw."""
-    pots = [
-        sample_potential(model, window, draw=first_draw + d)
-        for d in range(count)
-    ]
-    rng = np.random.default_rng(list(seed_key))
-    eng = BoxGlauber(region, pinned, pots, rng, start=start)
-    eng.sweep(burn)
-    H = eng.height_matrix()
-    return np.abs(H - mean).max(axis=1)
+    config: ExperimentConfig,
+    seed_key: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max-over-vertices |h - annealed mean|, one per fresh draw, by MCMC.
+
+    Each batch runs one chain per potential draw, all on one generator,
+    burned in for burn_factor * span^2 sweeps.  The mean field batch has
+    ``config.mean_draws`` chains from draw ``_MEAN_DRAW_OFFSET`` on and
+    generator seed ``seed_key + (1,)``; the ``config.tail_samples``
+    deviations come from draws 0, 1, ... and seed ``seed_key + (2,)``.
+    Returns (deviations, mean-field standard errors).
+    """
+    span = window[1] - window[0] + 2  # height levels in play
+    burn = max(50, int(round(config.burn_factor * span * span)))
+    thin = max(1, int(round(config.thin_factor * span * span)))
+
+    def burned_chains(chains: int, tag: int, first_draw: int) -> BoxGlauber:
+        pots = [
+            sample_potential(config.model, window, draw=first_draw + d)
+            for d in range(chains)
+        ]
+        rng = np.random.default_rng([*seed_key, tag])
+        eng = BoxGlauber(region, pinned, pots, rng, start=config.start)
+        eng.sweep(burn)
+        return eng
+
+    eng = burned_chains(config.mean_draws, 1, _MEAN_DRAW_OFFSET)
+    mean, stderr = _mean_field(eng, config.mean_samples_per_draw, thin)
+    eng = burned_chains(config.tail_samples, 2, 0)
+    return np.abs(eng.height_matrix() - mean).max(axis=1), stderr
 
 
 _MEAN_DRAW_OFFSET = 1_000_000  # keeps mean-field draws disjoint from tails
@@ -782,19 +779,8 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
             )
             continue
 
-        span = window[1] - window[0] + 2  # height levels in play
-        burn = max(50, int(round(config.burn_factor * span * span)))
-        thin = max(1, int(round(config.thin_factor * span * span)))
-        mean, stderr = _mean_field(
-            region, pinned, config.model, window,
-            config.mean_draws, config.mean_samples_per_draw,
-            burn, thin, config.start,
-            (config.seed, n, 1), _MEAN_DRAW_OFFSET,
-        )
-        devs = _deviation_samples(
-            region, pinned, config.model, window,
-            config.tail_samples, burn, config.start,
-            (config.seed, n, 2), 0, mean,
+        devs, stderr = _sampled_deviations(
+            region, pinned, window, config, (config.seed, n)
         )
         stderr_max = float(stderr.max())
         for c in config.c_values:
@@ -857,22 +843,18 @@ def scaling_check(
         },
         {"burn_factor": burn_factor, "thin_factor": thin_factor},
     )
+    config = ExperimentConfig(
+        model=model, tail_samples=seeds, mean_draws=mean_draws,
+        mean_samples_per_draw=mean_samples_per_draw,
+        burn_factor=burn_factor, thin_factor=thin_factor, start=start,
+    )
     devs = {}
     for tag, n in ((1, n_small), (2, n_large)):
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, boundary_kind, direction)
         window = required_window(region, pinned)
-        span = window[1] - window[0] + 2
-        burn = max(50, int(round(burn_factor * span * span)))
-        thin = max(1, int(round(thin_factor * span * span)))
-        mean, _ = _mean_field(
-            region, pinned, model, window,
-            mean_draws, mean_samples_per_draw, burn, thin, start,
-            (seed, 7, tag, 1), _MEAN_DRAW_OFFSET,
-        )
-        devs[n] = _deviation_samples(
-            region, pinned, model, window,
-            seeds, burn, start, (seed, 7, tag, 2), 0, mean,
+        devs[n], _ = _sampled_deviations(
+            region, pinned, window, config, (seed, 7, tag)
         )
     small = devs[n_small] / n_small
     large = devs[n_large] / n_large

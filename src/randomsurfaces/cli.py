@@ -346,6 +346,11 @@ def _verify_martingale(args) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    # the identities suite seeds its potential models with seed + 1, + 2
+    if not 0 <= args.seed < 2**63 - 2:
+        raise UsageError(f"--seed must be in [0, 2^63 - 2), got {args.seed}")
     suites = {
         "identities": _verify_identities,
         "dominance": _verify_dominance,

@@ -105,11 +105,27 @@ def edge_min_matrix(support: ExtensionSet) -> np.ndarray:
     return np.minimum(ma[:, ea], ma[:, eb])
 
 
-def _log_weights(support: ExtensionSet, p: Potential) -> np.ndarray:
-    mins = edge_min_matrix(support)
-    if mins.size == 0:
-        return np.zeros(len(support))
+def _log_weights(mins: np.ndarray, p: Potential) -> np.ndarray:
+    """Each member's H: ``p`` summed along its row of an edge-min matrix.
+
+    A matrix with no edge columns gives every member H = 0.
+    """
     return p.values_at(mins).sum(axis=1)
+
+
+def _active_edges(region: Region, pinned: Iterable[Vertex]) -> np.ndarray:
+    """Mask of the edges touching S = region \\ R' or the boundary of R'.
+
+    R' is the pinned set and its relative boundary the pinned vertices
+    with a free neighbour, so an edge misses both exactly when its two
+    ends and all their neighbours are pinned.
+    """
+    pin = np.zeros(len(region) + 1, dtype=bool)
+    pin[[region.position(v) for v in pinned]] = True
+    pin[-1] = True  # the neighbour matrix pads rows with -1
+    deep = pin[:-1] & pin[region._neighbors].all(axis=1)
+    ea, eb = region.edge_arrays()
+    return ~(deep[ea] & deep[eb])
 
 
 @dataclass(frozen=True)
@@ -152,7 +168,7 @@ def quenched_measure(
         support = enumerate_extensions(region, pinned)
     if len(support) == 0:
         raise NoExtensionError(*kirszbraun_violation(region, pinned))
-    lw = _log_weights(support, p)
+    lw = _log_weights(edge_min_matrix(support), p)
     return QuenchedMeasure(support, p, lw, float(logsumexp(lw)))
 
 
@@ -213,10 +229,7 @@ def _annealed_weights_by_potential(
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     probs = np.empty((len(potentials), len(support)))
     for i, p in enumerate(potentials):
-        if mins.size:
-            lw = p.values_at(mins).sum(axis=1)
-        else:
-            lw = np.zeros(len(support))
+        lw = _log_weights(mins, p)
         probs[i] = np.exp(lw - logsumexp(lw))
     return probs, weights, potentials
 
@@ -298,28 +311,12 @@ def check_relative_complement_identity(
     contribute a weight factor constant across members, which cancels.
     Returns max_g |mu(g) - mu_localized(g)| / mu(g).
     """
-    from .lattice import relative_boundary
-
     mu = quenched_measure(region, pinned, p)
     support = mu.support
-    sub_set = {tuple(v) for v in sub}
-    pinned_set = set(support.pinned.domain)
-    if pinned_set != sub_set:
+    if set(support.pinned.domain) != {tuple(v) for v in sub}:
         raise ValueError("sub must be the pinned vertex set")
-    active = (region.vertex_set - sub_set) | relative_boundary(region, sub_set)
-
-    ea, eb = region.edge_arrays()
-    vlist = region.vertex_list
-    touch = np.asarray(
-        [
-            (vlist[a] in active) or (vlist[b] in active)
-            for a, b in zip(ea, eb)
-        ],
-        dtype=bool,
-    )
-    ma = support.members_array
-    mins = np.minimum(ma[:, ea[touch]], ma[:, eb[touch]])
-    lw = p.values_at(mins).sum(axis=1) if mins.size else np.zeros(len(support))
+    touch = _active_edges(region, support.pinned.domain)
+    lw = _log_weights(edge_min_matrix(support)[:, touch], p)
     local_probs = np.exp(lw - logsumexp(lw))
     return float(
         np.max(np.abs(mu.probabilities - local_probs) / mu.probabilities)
@@ -416,7 +413,7 @@ def _random_pinned_instance(
     thickly pinned instances (a full random extension pinned everywhere
     except a small patch) whose localization drops interior edges.
     """
-    from .lattice import boundary, make_box
+    from .lattice import make_box
 
     rng = np.random.default_rng((seed, trial))
     family = trial % 3
@@ -460,23 +457,6 @@ def _random_pinned_instance(
     return region, g.restrict(keep)
 
 
-def _dropped_edge_count(region: Region, pinned: HeightFunction) -> int:
-    """Edges whose weight the localized route omits as constant."""
-    from .lattice import relative_boundary
-
-    pinned_set = set(pinned.domain)
-    active = (region.vertex_set - pinned_set) | relative_boundary(
-        region, pinned_set
-    )
-    ea, eb = region.edge_arrays()
-    vlist = region.vertex_list
-    return sum(
-        1
-        for a, b in zip(ea, eb)
-        if vlist[a] not in active and vlist[b] not in active
-    )
-
-
 def identity_check_suite(samples: int = 100, seed: int = 0) -> IdentitySuiteResult:
     """Run both measure identities on randomized feasible instances.
 
@@ -496,7 +476,8 @@ def identity_check_suite(samples: int = 100, seed: int = 0) -> IdentitySuiteResu
         )
         wlo, whi = required_window(region, data)
         p = sample_potential(model, (wlo, whi + 2), draw=trial)
-        nontrivial += _dropped_edge_count(region, data) > 0
+        # the localized route omits an edge's weight as constant
+        nontrivial += not _active_edges(region, data.domain).all()
         worst_rel = max(
             worst_rel,
             check_relative_complement_identity(

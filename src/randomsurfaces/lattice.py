@@ -13,11 +13,15 @@ are built in numpy (sorts and coordinate comparisons, no per-vertex
 Python work).  The tuple views (``vertex_list``, ``vertex_set``,
 positions, neighbour tuples) are made once; ``edge_positions`` is made
 on first use only.
+
+One offset breadth-first search with parent pointers (``_bfs``) serves
+every traversal of the package: the connectivity check, single- and
+multi-source distances (and through them the height envelopes), and the
+boundary-to-interior walks of ``analysis``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -220,17 +224,9 @@ class Region:
         self._check_connected()
 
     def _check_connected(self) -> None:
-        nbrs = self._neighbor_positions
-        seen = bytearray(len(nbrs))
-        seen[0] = 1
-        reached = [0]
-        for i in reached:  # grows while it is read: a breadth-first search
-            for j in nbrs[i]:
-                if not seen[j]:
-                    seen[j] = 1
-                    reached.append(j)
-        if len(reached) != len(nbrs):
-            missing = self.vertex_list[seen.index(0)]
+        dist, _ = _bfs(self._neighbor_positions, [(0, 0)])
+        if None in dist:
+            missing = self.vertex_list[dist.index(None)]
             raise ValueError(
                 f"region is not connected: {missing} unreachable from "
                 f"{self.vertex_list[0]}"
@@ -333,39 +329,21 @@ def neighbors(region: Region, v: Vertex) -> set[Vertex]:
     return {region.vertex_list[j] for j in region.neighbor_positions(i)}
 
 
-def distance_map(region: Region, source: Vertex) -> dict[Vertex, int]:
-    """Graph distances from ``source`` to every vertex of the region (BFS)."""
-    i0 = region.position(source)
-    dist = [-1] * len(region)
-    dist[i0] = 0
-    queue = deque([i0])
-    while queue:
-        i = queue.popleft()
-        for j in region.neighbor_positions(i):
-            if dist[j] < 0:
-                dist[j] = dist[i] + 1
-                queue.append(j)
-    return {v: dist[i] for i, v in enumerate(region.vertex_list)}
+def _bfs(
+    nbrs: Sequence[Sequence[int]], sources: Sequence[tuple[int, int]]
+) -> tuple[list[int | None], list[int]]:
+    """Offset breadth-first search with parent pointers over ``nbrs`` rows.
 
-
-def multi_source_distances(
-    region: Region, offsets: Mapping[Vertex, int]
-) -> np.ndarray:
-    """min over sources s of (offsets[s] + d_R(s, v)), for every vertex v.
-
-    ``offsets`` maps each source vertex to an integer offset; the result
-    is an int64 array aligned with ``region.vertex_list``.  One
-    breadth-first pass, O(|R|) plus sorting the sources: the frontier
-    advances one distance level at a time, a source joins when the level
-    reaches its offset (unless it was reached earlier), and an empty
-    frontier jumps straight to the next source's offset, so sources whose
-    offsets lie far apart cost nothing extra.
+    ``sources`` are (offset, position) pairs sorted ascending.  Returns
+    ``dist``, the min over sources of offset + graph distance (None where
+    nothing reaches), and ``via``, the position each vertex was first
+    reached from (-1 at sources).  The frontier advances a level at a
+    time, a source joins when the level reaches its offset, and an empty
+    frontier jumps to the next offset.  From one source the vertices are
+    reached in FIFO-queue order, so ``via`` is that search's tree.
     """
-    if not offsets:
-        raise ValueError("need at least one source")
-    sources = sorted((int(z), region.position(v)) for v, z in offsets.items())
-    nbrs = region._neighbor_positions
-    dist: list[int | None] = [None] * len(region)
+    dist: list[int | None] = [None] * len(nbrs)
+    via = [-1] * len(nbrs)
     frontier: list[int] = []
     k = 0
     level = sources[0][0]
@@ -378,7 +356,7 @@ def multi_source_distances(
             k += 1
         if not frontier:
             if k == len(sources):
-                break
+                return dist, via
             level = sources[k][0]
             continue
         level += 1
@@ -387,18 +365,38 @@ def multi_source_distances(
             for j in nbrs[i]:
                 if dist[j] is None:
                     dist[j] = level
+                    via[j] = i
                     reached.append(j)
         frontier = reached
+
+
+def distance_map(region: Region, source: Vertex) -> dict[Vertex, int]:
+    """Graph distances from ``source`` to every vertex of the region (BFS)."""
+    dist, _ = _bfs(region._neighbor_positions, [(0, region.position(source))])
+    return dict(zip(region.vertex_list, dist))
+
+
+def multi_source_distances(
+    region: Region, offsets: Mapping[Vertex, int]
+) -> np.ndarray:
+    """min over sources s of (offsets[s] + d_R(s, v)), for every vertex v.
+
+    ``offsets`` maps each source vertex to an integer offset; the result
+    is an int64 array aligned with ``region.vertex_list``, from one
+    ``_bfs`` pass: O(|R|) plus sorting the sources.
+    """
+    if not offsets:
+        raise ValueError("need at least one source")
+    sources = sorted((int(z), region.position(v)) for v, z in offsets.items())
+    dist, _ = _bfs(region._neighbor_positions, sources)
     return np.asarray(dist, dtype=np.int64)
 
 
 def graph_distance(region: Region, x: Vertex, y: Vertex) -> int:
     """Length of the shortest path from x to y within the region."""
-    x = tuple(x)
-    y = tuple(y)
     iy = region.position(y)
-    dist = distance_map(region, x)
-    return dist[tuple(region.vertex_list[iy])]
+    dist, _ = _bfs(region._neighbor_positions, [(0, region.position(x))])
+    return dist[iy]
 
 
 def outer_extension(region: Region) -> Region:

@@ -25,6 +25,7 @@ are {(0,1): mean 1, (0,-1): mean -1}.
 import math
 import subprocess
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
@@ -61,7 +62,13 @@ from randomsurfaces.heights import (
     min_max_extensions,
     parity_height,
 )
-from randomsurfaces.lattice import Region, boundary, distance_map, make_box
+from randomsurfaces.lattice import (
+    Region,
+    boundary,
+    distance_map,
+    make_box,
+    neighbors,
+)
 from randomsurfaces.potential import (
     Potential,
     PotentialModel,
@@ -513,6 +520,65 @@ class TestWalks:
         for walk in walks:
             assert len(walk) == graph_distance(BOX3, walk[0], walk[-1]) + 1
 
+    def test_walks_match_the_deque_search(self, metric_instances):
+        for region, pins, _ in metric_instances:
+            for starts in (boundary(region), pins):
+                got = boundary_to_interior_walks(region, starts, region)
+                assert got == deque_search_walks(region, starts, region)
+        for n in range(3, 9):
+            box = make_box((0, 0), (n - 1, n - 1))
+            ring = boundary(box)
+            interior = sorted(set(box.vertex_list) - ring)
+            got = boundary_to_interior_walks(box, ring, interior)
+            assert got == deque_search_walks(box, ring, interior)
+
+    def test_walks_are_shortest_on_random_regions(self, metric_instances):
+        for region, pins, dist in metric_instances:
+            walks = boundary_to_interior_walks(region, pins, region)
+            assert len(walks) == len(pins) * (len(region) - 1)
+            for walk in walks:
+                i, j = region.position(walk[0]), region.position(walk[-1])
+                assert len(walk) == dist[i, j] + 1
+                for a, b in zip(walk, walk[1:]):
+                    assert b in neighbors(region, a)
+
+    @pytest.mark.parametrize(
+        "starts,targets,named",
+        [
+            ([(0, 0)], [(5, 5), (1, 1)], r"\(5, 5\)"),
+            ([(9, 9), (0, 0)], [(1, 1)], r"\(9, 9\)"),
+        ],
+    )
+    def test_vertices_outside_the_region_rejected(self, starts, targets, named):
+        with pytest.raises(ValueError, match=named + " lies outside the region"):
+            boundary_to_interior_walks(BOX3, starts, targets)
+
+
+def deque_search_walks(region, pinned_domain, targets):
+    """The walks as made before the shared search: one deque BFS over vertex
+    tuples with a parent dict per start, kept as a reference."""
+    starts = sorted({tuple(v) for v in pinned_domain})
+    tgts = sorted({tuple(v) for v in targets})
+    walks = []
+    for x0 in starts:
+        parent = {x0: None}
+        queue = deque([x0])
+        while queue:
+            cur = queue.popleft()
+            for j in region.neighbor_positions(region.position(cur)):
+                w = region.vertex_list[j]
+                if w not in parent:
+                    parent[w] = cur
+                    queue.append(w)
+        for t in tgts:
+            if t == x0 or t not in parent:
+                continue
+            pathway = [t]
+            while pathway[-1] != x0:
+                pathway.append(parent[pathway[-1]])
+            walks.append(list(reversed(pathway)))
+    return walks
+
 
 def per_ring_walk_length(region):
     """max over v of (min over ring vertices b of d_R(b, v)) + 1."""
@@ -541,8 +607,11 @@ class TestMaxWalkLength:
             assert _max_walk_length(ring) == per_ring_walk_length(ring)
 
     def test_random_regions(self, metric_instances):
-        for region, _, _ in metric_instances:
-            assert _max_walk_length(region) == per_ring_walk_length(region)
+        # the oracle is the Floyd-Warshall matrix, not a breadth-first search
+        for region, _, dist in metric_instances:
+            ring = [region.position(b) for b in boundary(region)]
+            want = int(dist[ring].min(axis=0).max()) + 1
+            assert _max_walk_length(region) == want
 
 
 class TestMetricLayerCost:

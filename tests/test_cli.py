@@ -372,6 +372,27 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "everything")
         assert code == 1
 
+    @pytest.mark.parametrize("suite", ["identities", "dominance", "martingale"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--samples", "0"), ("--samples", "-4"), ("--seed", "-1"),
+         ("--seed", str(2**63 - 2))],
+    )
+    def test_bad_numbers_exit_1(self, capsys, suite, flag, value):
+        code, out, err = run(capsys, "verify", suite, flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be")
+        assert err.endswith(f"got {value}\n")
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "identities", "--samples", "3",
+            "--seed", str(2**63 - 3),
+        )
+        assert code == 0
+        assert "identities: ok" in out
+
 
 class TestDeterminism:
     def test_surface_byte_identical(self, tmp_path, capsys):

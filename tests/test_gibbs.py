@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from randomsurfaces import gibbs
 from randomsurfaces.gibbs import (
     annealed_expectation,
     annealed_member_probabilities,
@@ -378,6 +379,18 @@ class TestIdentities:
         p = sample_potential(PotentialModel("uniform", 2.0, 1), (lo, hi))
         gap = check_relative_complement_identity(path6, sub, pin, p)
         assert gap <= 1e-12
+
+    def test_active_edges_follow_the_relative_boundary(self, metric_instances):
+        # an edge is kept when an end is free or on the relative boundary
+        for region, pins, _ in metric_instances:
+            sub = set(pins)
+            active = (region.vertex_set - sub) | relative_boundary(region, sub)
+            vs = region.vertex_list
+            want = [
+                vs[a] in active or vs[b] in active
+                for a, b in region.edge_positions
+            ]
+            assert gibbs._active_edges(region, sub).tolist() == want
 
     def test_localization_on_the_box(self):
         pin = parity_height(BOX3).restrict(boundary(BOX3))

@@ -333,6 +333,15 @@ class TestDistances:
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
 
+    def test_single_source_distances_match_brute_force(self, metric_instances):
+        for region, _, dist in metric_instances:
+            vs = region.vertex_list
+            n = len(vs)
+            for i, x in enumerate(vs):
+                assert distance_map(region, x) == dict(zip(vs, dist[i].tolist()))
+                j = (7 * i + 3) % n
+                assert graph_distance(region, x, vs[j]) == dist[i, j]
+
     def test_multi_source_single_source_is_distance_map(self):
         r = ring3()
         dm = distance_map(r, (0, 1))

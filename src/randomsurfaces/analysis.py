@@ -24,6 +24,7 @@ import numpy as np
 
 from .gibbs import (
     QuenchedMeasure,
+    _envelope_window,
     annealed_expectation,
     annealed_member_probabilities,
     quenched_measure,
@@ -35,6 +36,7 @@ from .heights import (
     as_height_function,
     enumerate_extensions,
     extremal_boundary,
+    min_max_extensions,
     parity_height,
 )
 from .lattice import (
@@ -698,19 +700,22 @@ def _mean_field(
 def _sampled_deviations(
     region: Region,
     pinned: HeightFunction,
-    window: tuple[int, int],
+    envelopes: tuple[HeightFunction, HeightFunction],
     config: ExperimentConfig,
     seed_key: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max-over-vertices |h - annealed mean|, one per fresh draw, by MCMC.
 
-    Each batch runs one chain per potential draw, all on one generator,
-    burned in for burn_factor * span^2 sweeps.  The mean field batch has
+    ``envelopes`` are the minimal and maximal extensions of ``pinned``;
+    the potentials live on the window between them.  Each batch runs one
+    chain per potential draw, all on one generator, burned in for
+    burn_factor * span^2 sweeps.  The mean field batch has
     ``config.mean_draws`` chains from draw ``_MEAN_DRAW_OFFSET`` on and
     generator seed ``seed_key + (1,)``; the ``config.tail_samples``
     deviations come from draws 0, 1, ... and seed ``seed_key + (2,)``.
     Returns (deviations, mean-field standard errors).
     """
+    window = _envelope_window(*envelopes)
     span = window[1] - window[0] + 2  # height levels in play
     burn = max(50, int(round(config.burn_factor * span * span)))
     thin = max(1, int(round(config.thin_factor * span * span)))
@@ -721,7 +726,9 @@ def _sampled_deviations(
             for d in range(chains)
         ]
         rng = np.random.default_rng([*seed_key, tag])
-        eng = BoxGlauber(region, pinned, pots, rng, start=config.start)
+        eng = BoxGlauber(
+            region, pinned, pots, rng, start=config.start, _envelopes=envelopes
+        )
         eng.sweep(burn)
         return eng
 
@@ -751,7 +758,8 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, config.boundary, config.direction)
         diam, max_l = _check_hypotheses(region, n, config.A)
-        window = required_window(region, pinned)
+        envelopes = min_max_extensions(region, pinned)
+        window = _envelope_window(*envelopes)
 
         if config.mode == "exact":
             support = enumerate_extensions(region, pinned)
@@ -780,7 +788,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
             continue
 
         devs, stderr = _sampled_deviations(
-            region, pinned, window, config, (config.seed, n)
+            region, pinned, envelopes, config, (config.seed, n)
         )
         stderr_max = float(stderr.max())
         for c in config.c_values:
@@ -852,9 +860,9 @@ def scaling_check(
     for tag, n in ((1, n_small), (2, n_large)):
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, boundary_kind, direction)
-        window = required_window(region, pinned)
         devs[n], _ = _sampled_deviations(
-            region, pinned, window, config, (seed, 7, tag)
+            region, pinned, min_max_extensions(region, pinned), config,
+            (seed, 7, tag),
         )
     small = devs[n_small] / n_small
     large = devs[n_large] / n_large

@@ -36,7 +36,7 @@ _POSITION_OFFSET = 1 << 62
 
 @dataclass(frozen=True)
 class Potential:
-    """Realized potential values on the index window [lo, hi] (inclusive)."""
+    """Realized finite potential values on the index window [lo, hi]."""
 
     lo: int
     hi: int
@@ -50,6 +50,12 @@ class Potential:
             raise ValueError(
                 f"window [{self.lo}, {self.hi}] needs "
                 f"{self.hi - self.lo + 1} values, got shape {arr.shape}"
+            )
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(
+                f"potential on window [{self.lo}, {self.hi}] has the "
+                f"non-finite value {arr[bad[0]]} at index {self.lo + bad[0]}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

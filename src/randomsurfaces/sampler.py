@@ -10,7 +10,9 @@ lattice those neighbours share a parity, so their heights span 0 or 2:
   omega at the lower endpoint, so P(up) = expit(k (omega_z - omega_{z-1})).
 
 Every path reads P(up) from one table per potential, indexed by k and
-z, built with ``expit`` (no overflow for any potential).  The decision
+z, built with the logistic function expit(t) = 1 / (1 + exp(-t)) in
+libm's ``exp`` through ``math.exp`` (overflow gives 0, so any finite
+potential is safe), once per distinct argument.  The decision
 rule "take the upper candidate iff u < P(upper)" with a shared uniform u
 and shared vertex choice couples two chains so that a pointwise height
 ordering is preserved forever.
@@ -30,12 +32,12 @@ uniforms in fixed chunks), which witness the monotone coupling.
 from __future__ import annotations
 
 import copy
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
-from .gibbs import QuenchedMeasure, _edge_window
+from .gibbs import QuenchedMeasure, _envelope_window
 from .heights import HeightFunction, as_height_function, min_max_extensions
 from .lattice import Region, Vertex
 from .potential import Potential
@@ -52,6 +54,24 @@ __all__ = [
 _CHUNK = 1 << 14
 
 
+def _expit(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)) elementwise, evaluated once per distinct value.
+
+    ``math.exp`` is libm's ``exp``, the one scipy.special.expit calls, so
+    the two agree to the last bit; numpy's own vectorised ``exp`` may
+    differ from it by an ulp.  exp(-t) overflows for t < -709.78, where
+    the result is 0.
+    """
+    uniq, inv = np.unique(t.ravel(), return_inverse=True)
+    vals = np.empty(uniq.size)
+    for i, x in enumerate(uniq.tolist()):
+        try:
+            vals[i] = 1.0 / (1.0 + math.exp(-x))
+        except OverflowError:
+            vals[i] = 0.0
+    return vals[inv.reshape(t.shape)]
+
+
 def _flip_table(values: np.ndarray, kmax: int) -> np.ndarray:
     """Heat-bath P(up) at a free site whose k neighbours all sit at z.
 
@@ -63,7 +83,7 @@ def _flip_table(values: np.ndarray, kmax: int) -> np.ndarray:
     """
     step = np.diff(values, axis=-1, prepend=values[..., :1])
     k = np.arange(kmax + 1, dtype=np.float64)[:, None]
-    return expit(k * step[..., None, :])
+    return _expit(k * step[..., None, :])
 
 
 def _single_site_plan(region: Region, pinned: HeightFunction, p: Potential):
@@ -95,12 +115,18 @@ def _up_probability(
 
 
 def _covered_envelopes(
-    region: Region, pinned: Mapping[Vertex, int], p: Potential
+    region: Region,
+    pinned: Mapping[Vertex, int],
+    p: Potential,
+    envelopes: tuple[HeightFunction, HeightFunction] | None = None,
 ) -> tuple[HeightFunction, HeightFunction]:
     """The minimal and maximal extensions, once ``p``'s window is checked
-    to cover every edge minimum between them."""
-    low, high = min_max_extensions(region, pinned)
-    lo, hi = _edge_window(min(low.heights), max(high.heights))
+    to cover every edge minimum between them.  ``envelopes``, when given,
+    are those extensions already computed."""
+    if envelopes is None:
+        envelopes = min_max_extensions(region, pinned)
+    low, high = envelopes
+    lo, hi = _envelope_window(low, high)
     if not p.covers(lo, hi):
         raise ValueError(
             f"potential window {p.window} does not cover required [{lo}, {hi}]"
@@ -258,6 +284,10 @@ class BoxGlauber:
     a (batch, *shape) array; on other regions ``shape`` is
     ``(len(region),)``, ``low`` the coordinatewise minimum and both arrays
     follow ``region.vertex_list``.
+
+    ``_envelopes`` is for callers inside the package that already hold the
+    minimal and maximal extensions of ``pinned``; they are then not
+    computed again.
     """
 
     def __init__(
@@ -267,6 +297,8 @@ class BoxGlauber:
         potentials: Sequence[Potential],
         rng: np.random.Generator,
         start: str = "low",
+        *,
+        _envelopes: tuple[HeightFunction, HeightFunction] | None = None,
     ):
         if not potentials:
             raise ValueError("need at least one potential")
@@ -276,7 +308,9 @@ class BoxGlauber:
                 raise ValueError("all potentials must share one window")
         if start not in ("low", "mid"):
             raise ValueError(f"start must be 'low' or 'mid', got {start!r}")
-        lo_f, hi_f = _covered_envelopes(region, pinned, potentials[0])
+        lo_f, hi_f = _covered_envelopes(
+            region, pinned, potentials[0], _envelopes
+        )
 
         coords = region._coords
         lows, highs = region._bounds()

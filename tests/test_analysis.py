@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from randomsurfaces import analysis, heights, lattice
+from randomsurfaces import analysis, gibbs, heights, lattice, sampler
 from randomsurfaces.analysis import (
     ExperimentConfig,
     ReportRow,
@@ -779,6 +779,45 @@ class TestBoundaryDataAndConfig:
         assert ReportRow(3, 1.0, 400, 0.5, 0.5, 0.0).slack() == pytest.approx(
             3 * math.sqrt(0.25 / 400)
         )
+
+
+def count_envelopes(monkeypatch):
+    """Count min_max_extensions calls through every module that uses it."""
+    calls = []
+
+    def counting(region, pinned):
+        calls.append(len(region))
+        return min_max_extensions(region, pinned)
+
+    for mod in (analysis, gibbs, heights, sampler):
+        if hasattr(mod, "min_max_extensions"):
+            monkeypatch.setattr(mod, "min_max_extensions", counting)
+    return calls
+
+
+class TestEnvelopesOncePerSize:
+    """The sampled experiments share one envelope pair per box with both
+    of their engines."""
+
+    def test_concentration_experiment(self, monkeypatch):
+        calls = count_envelopes(monkeypatch)
+        cfg = ExperimentConfig(
+            ns=(3, 5), c_values=(1.0,), model=PotentialModel("twopoint", 1.0, 2),
+            tail_samples=4, mean_draws=2, mean_samples_per_draw=2,
+            burn_factor=0.1, thin_factor=0.1,
+        )
+        report = concentration_experiment(cfg)
+        assert calls == [9, 25]
+        monkeypatch.undo()
+        assert concentration_experiment(cfg) == report
+
+    def test_scaling_check(self, monkeypatch):
+        calls = count_envelopes(monkeypatch)
+        scaling_check(
+            PotentialModel("twopoint", 1.0), n_small=3, n_large=5, seeds=3,
+            mean_draws=2, mean_samples_per_draw=2, burn_factor=0.1,
+        )
+        assert calls == [9, 25]
 
 
 class TestConcentrationExperiment:

@@ -458,6 +458,16 @@ class TestConsoleScript:
         assert "usage" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is a test dependency only; the package needs numpy alone
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, randomsurfaces.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_package_exposes_cli_lazily(self):
         import randomsurfaces
 

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from scipy.special import logsumexp
 
 from randomsurfaces import gibbs
@@ -72,6 +73,84 @@ def exp_route_probabilities(region, pinned, p):
         )
     z = sum(weights)
     return support, [w / z for w in weights]
+
+
+# scipy 1.15 moved logsumexp to the max-split formula of gibbs._logsumexp;
+# older releases compute log(sum(exp(a - max))) + max, a few ulps away
+SCIPY_MAX_SPLIT = tuple(int(x) for x in scipy.__version__.split(".")[:2]) >= (1, 15)
+
+
+def frozen_logsumexp(a, axis=None):
+    """scipy 1.17's real-input logsumexp, frozen step by step."""
+    a = np.asarray(a, dtype=np.float64)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    m = np.sum(top, axis=axis, keepdims=True, dtype=np.float64)
+    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=axis, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    out = np.log1p(s) + np.log(m) + a_max
+    return out.reshape(()) if axis is None else out.squeeze(axis)
+
+
+def logsumexp_cases():
+    """1D and row-batched inputs: ties, single elements, all-equal rows,
+    magnitudes up to 1e3."""
+    rng = np.random.default_rng(14)
+    cases = [
+        (np.array([0.5]), None),
+        (np.array([-1e3]), None),
+        (np.full(7, 2.25), None),
+        (np.array([3.0, 3.0, -1.0, 3.0]), None),
+        (np.array([1e3, -1e3, 999.0, 1e3]), None),
+        (np.full((4, 5), -0.75), 1),
+        (np.array([[1.0], [-2.0]]), 1),
+    ]
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        if rng.random() < 0.5:
+            a = np.round(a)  # ties at the maximum and elsewhere
+        cases.append((a, None))
+    for _ in range(60):
+        shape = tuple(int(x) for x in rng.integers(1, 40, size=2))
+        a = np.round(rng.standard_normal(shape) * 3.0, 1)
+        a[:, -1] = a[:, 0]  # a tie in every row
+        cases.append((a, 1))
+    return cases
+
+
+class TestLogSumExp:
+    def test_matches_the_frozen_formula_bit_for_bit(self):
+        for a, axis in logsumexp_cases():
+            got = gibbs._logsumexp(a, axis=axis)
+            assert np.array_equal(got, frozen_logsumexp(a, axis=axis)), a
+
+    def test_matches_scipy(self):
+        for a, axis in logsumexp_cases():
+            got = gibbs._logsumexp(a, axis=axis)
+            want = logsumexp(a, axis=axis)
+            if SCIPY_MAX_SPLIT:
+                assert np.array_equal(got, want), a
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-12)
+
+    def test_rows_match_one_row_at_a_time(self):
+        for a, axis in logsumexp_cases():
+            if axis == 1:
+                rows = [gibbs._logsumexp(row) for row in a]
+                assert np.array_equal(gibbs._logsumexp(a, axis=1), rows)
+
+    def test_shapes_and_scalars(self):
+        assert isinstance(gibbs._logsumexp([0.0, 1.0]), np.float64)
+        assert gibbs._logsumexp(np.zeros((3, 4)), axis=1).shape == (3,)
+        assert gibbs._logsumexp(np.zeros((1, 4)), axis=1).shape == (1,)
+        assert gibbs._logsumexp([0.0, 0.0]) == math.log(2.0)
+
+    def test_empty_input_is_minus_infinity(self):
+        assert gibbs._logsumexp([]) == -np.inf == logsumexp([])
+        got = gibbs._logsumexp(np.empty((3, 0)), axis=1)
+        assert np.array_equal(got, np.full(3, -np.inf))
+        assert np.array_equal(got, logsumexp(np.empty((3, 0)), axis=1))
 
 
 class TestHamiltonian:
@@ -418,6 +497,35 @@ class TestIdentities:
         raised_window = required_window(BOX3, pin.shift(2))
         p = sample_potential(PotentialModel("twopoint", 1.0, 6), raised_window)
         assert check_shift_identity(BOX3, pin, p) <= 1e-12
+
+    def test_suite_enumerates_each_data_once(self, monkeypatch):
+        calls = []
+
+        def counting(region, pinned):
+            calls.append(1)
+            return enumerate_extensions(region, pinned)
+
+        monkeypatch.setattr(gibbs, "enumerate_extensions", counting)
+        samples = 24
+        identity_check_suite(samples=samples, seed=1)
+        # per trial: the data once, shared by both checks, and the raised
+        # data once; every third trial also enumerates its ring data to
+        # pick the member it pins almost everywhere
+        thick = sum(1 for t in range(samples) if t % 3 == 2)
+        assert len(calls) == 2 * samples + thick
+
+    def test_checks_take_a_pre_enumerated_support(self):
+        pin = parity_height(BOX3).restrict(boundary(BOX3))
+        lo, hi = required_window(BOX3, pin)
+        # covers the data's window and, for the shift check, the raised one
+        p = sample_potential(PotentialModel("twopoint", 1.0, 6), (lo, hi + 2))
+        support = enumerate_extensions(BOX3, pin)
+        assert check_shift_identity(
+            BOX3, pin, p, support=support
+        ) == check_shift_identity(BOX3, pin, p)
+        assert check_relative_complement_identity(
+            BOX3, pin.domain, pin, p, support=support
+        ) == check_relative_complement_identity(BOX3, pin.domain, pin, p)
 
     def test_suite_runs_nontrivial_instances(self):
         result = identity_check_suite(samples=24, seed=1)

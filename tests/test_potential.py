@@ -77,6 +77,17 @@ class TestPotential:
         with pytest.raises(ValueError):
             Potential(1, 0, np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN would make every heat-bath comparison u >= P(up) false and
+        # poison the log weights; an infinity overflows them
+        values = [0.0, 1.0, 2.0, 3.0]
+        values[2] = bad
+        with pytest.raises(ValueError, match=r"window \[0, 3\].* at index 2"):
+            Potential(0, 3, values)
+        with pytest.raises(ValueError, match=r"window \[-1, 2\]"):
+            Potential(-1, 2, [bad, 0.0, 1.0, 2.0])
+
 
 class TestPotentialModel:
     def test_kinds_validated(self):

@@ -19,7 +19,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from randomsurfaces import sampler
 from randomsurfaces.gibbs import quenched_measure, required_window
 from randomsurfaces.heights import (
     enumerate_extensions,
@@ -615,6 +617,39 @@ class TestExtremePotentials:
         P = transition_matrix(mu)
         assert np.all(P >= 0.0)
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestExpit:
+    """The heat-bath table's logistic function is scipy's, bit for bit."""
+
+    EDGES = [745.0, 710.0, 709.78, 36.7, 1.0, 1e-300, 0.0]
+
+    def test_edge_arguments(self):
+        t = np.array([s * x for x in self.EDGES for s in (1.0, -1.0)])
+        got = sampler._expit(t)
+        assert np.array_equal(got, expit(t))
+        assert got[t == -745.0].tolist() == [0.0]  # exp(745) overflows
+        assert got[t == 0.0].tolist() == [0.5, 0.5]  # for 0.0 and -0.0
+
+    def test_scaled_normals(self):
+        rng = np.random.default_rng(11)
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            t = rng.standard_normal((3, 4, 500)) * scale
+            got = sampler._expit(t)
+            assert got.shape == t.shape
+            assert np.array_equal(got, expit(t))
+
+    @pytest.mark.parametrize("kind,param", [("twopoint", 1.0), ("uniform", 2.0)])
+    def test_flip_table_matches_a_scipy_table(self, kind, param):
+        values = np.stack([
+            sample_potential(PotentialModel(kind, param, 3), (-6, 9), draw=d).values
+            for d in range(5)
+        ])
+        step = np.diff(values, axis=-1, prepend=values[..., :1])
+        k = np.arange(5, dtype=np.float64)[:, None]
+        want = expit(k * step[..., None, :])
+        assert np.array_equal(sampler._flip_table(values, 4), want)
+        assert np.array_equal(sampler._flip_table(values[0], 4), want[0])
 
 
 def test_coupled_run_memory_is_bounded_by_a_chunk():

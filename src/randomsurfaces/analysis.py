@@ -707,35 +707,42 @@ def _sampled_deviations(
     """Max-over-vertices |h - annealed mean|, one per fresh draw, by MCMC.
 
     ``envelopes`` are the minimal and maximal extensions of ``pinned``;
-    the potentials live on the window between them.  Each batch runs one
-    chain per potential draw, all on one generator, burned in for
-    burn_factor * span^2 sweeps.  The mean field batch has
-    ``config.mean_draws`` chains from draw ``_MEAN_DRAW_OFFSET`` on and
-    generator seed ``seed_key + (1,)``; the ``config.tail_samples``
-    deviations come from draws 0, 1, ... and seed ``seed_key + (2,)``.
-    Returns (deviations, mean-field standard errors).
+    the potentials live on the window between them.  Every chain runs
+    under its own potential draw and is burned in for
+    burn_factor * span^2 sweeps.  Two groups of chains share one engine
+    and are burned together: ``config.mean_draws`` mean-field chains
+    from draw ``_MEAN_DRAW_OFFSET`` on, on generator seed
+    ``seed_key + (1,)``, then ``config.tail_samples`` tail chains from
+    draws 0, 1, ... on seed ``seed_key + (2,)``.  Each group draws its
+    uniforms from its own generator, so both go through exactly the
+    states of two engines burned one after the other.  The tail heights
+    are read at the end of the burn; the engine then keeps only the
+    mean-field chains, which go on to sample the mean.  Returns
+    (deviations, mean-field standard errors).
     """
     window = _envelope_window(*envelopes)
     span = window[1] - window[0] + 2  # height levels in play
     burn = max(50, int(round(config.burn_factor * span * span)))
     thin = max(1, int(round(config.thin_factor * span * span)))
-
-    def burned_chains(chains: int, tag: int, first_draw: int) -> BoxGlauber:
-        pots = [
+    groups = []
+    pots = []
+    for tag, chains, first_draw in (
+        (1, config.mean_draws, _MEAN_DRAW_OFFSET),
+        (2, config.tail_samples, 0),
+    ):
+        groups.append((np.random.default_rng([*seed_key, tag]), chains))
+        pots += [
             sample_potential(config.model, window, draw=first_draw + d)
             for d in range(chains)
         ]
-        rng = np.random.default_rng([*seed_key, tag])
-        eng = BoxGlauber(
-            region, pinned, pots, rng, start=config.start, _envelopes=envelopes
-        )
-        eng.sweep(burn)
-        return eng
-
-    eng = burned_chains(config.mean_draws, 1, _MEAN_DRAW_OFFSET)
+    eng = BoxGlauber(
+        region, pinned, pots, groups[0][0], start=config.start,
+        _envelopes=envelopes, _groups=groups,
+    )
+    eng.sweep(burn)
+    tails = eng._keep_first_group()
     mean, stderr = _mean_field(eng, config.mean_samples_per_draw, thin)
-    eng = burned_chains(config.tail_samples, 2, 0)
-    return np.abs(eng.height_matrix() - mean).max(axis=1), stderr
+    return np.abs(tails - mean).max(axis=1), stderr
 
 
 _MEAN_DRAW_OFFSET = 1_000_000  # keeps mean-field draws disjoint from tails

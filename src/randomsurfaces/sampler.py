@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -249,6 +250,50 @@ def transition_matrix(mu: QuenchedMeasure) -> np.ndarray:
     return P
 
 
+def _check_groups(
+    groups: Sequence[tuple[np.random.Generator, int]], chains: int
+) -> tuple[tuple[np.random.Generator, int], ...]:
+    """``groups`` as (generator, chain count) pairs, once every generator
+    is a numpy ``Generator``, every count is an integer >= 1 and the
+    counts sum to ``chains``."""
+    groups = tuple((g, c) for g, c in groups)
+    for g, c in groups:
+        if not isinstance(g, np.random.Generator):
+            raise ValueError(
+                f"each group needs a numpy Generator, got {type(g).__name__}"
+            )
+        if not isinstance(c, (int, np.integer)) or c < 1:
+            raise ValueError(f"each group needs >= 1 chains, got {c!r}")
+    total = sum(c for _, c in groups)
+    if total != chains:
+        raise ValueError(
+            f"group chain counts sum to {total}, not to the {chains} potentials"
+        )
+    return groups
+
+
+def _check_table_reach(
+    nb: np.ndarray, low: np.ndarray, high: np.ndarray, window: tuple[int, int]
+) -> None:
+    """Reject a P(up) table that misses some free site's neighbour minimum.
+
+    ``nb`` lists each free site's neighbour positions.  Every chain stays
+    between the envelopes ``low`` and ``high``, so the lowest neighbour of
+    a site ranges over [min low(nb), min high(nb)], and the table row on
+    ``window`` must hold all of it: half-sweeps read the table with
+    ``take(..., mode="clip")``, which checks no bounds of its own.
+    """
+    if not nb.size:
+        return
+    lo = int(low[nb].min(axis=1).min())
+    hi = int(high[nb].min(axis=1).max())
+    if lo < window[0] or hi > window[1]:
+        raise ValueError(
+            f"neighbour minima reach [{lo}, {hi}], outside the potential "
+            f"window {window}"
+        )
+
+
 class BoxGlauber:
     """Vectorized checkerboard heat-bath on any region, batched over chains.
 
@@ -269,13 +314,28 @@ class BoxGlauber:
     (batch, sites) block per half-sweep with the sites in vertex order,
     so the random stream depends only on the batch and the region.
 
+    The chains may form consecutive groups, each on its own generator:
+    ``_groups`` is a sequence of (generator, chain count) pairs whose
+    counts sum to ``len(potentials)``, and ``rng`` is then the first
+    group's generator (without ``_groups`` all chains form one group on
+    ``rng``).  Chains never interact, and group g fills its rows of the
+    uniform block with ``generator_g.random((count_g, sites))``, in
+    group order.  So each group's chains and generator pass through
+    exactly the states of a separate engine that holds that group
+    alone, and ``_keep_first_group()``, which drops every other chain,
+    leaves the engine in the state of the first group's own engine.
+    Callers inside the package burn several batches together this way
+    without changing any random stream.
+
     Heights are stored sites-major, one row of ``batch`` chains per site,
     in the narrowest signed integer type that holds the window +-2.  The
     rows are permuted so that the free sites of each parity form one
     contiguous block (vertex order within it) and the pinned sites come
     last; a half-sweep gathers each free site's neighbour rows through a
     (k, sites) slot matrix, padded by repeating a real neighbour, and
-    writes the new heights into its block's rows in place.
+    writes the new heights into its block's rows in place.  Its
+    intermediates go to work arrays that ``sweep`` builds once per call
+    and both parities share.
 
     ``height_matrix()`` (int64, rows aligned with ``region.vertex_list``)
     and ``heights`` undo the permutation on each call.  On a box, in
@@ -299,6 +359,7 @@ class BoxGlauber:
         start: str = "low",
         *,
         _envelopes: tuple[HeightFunction, HeightFunction] | None = None,
+        _groups: Sequence[tuple[np.random.Generator, int]] | None = None,
     ):
         if not potentials:
             raise ValueError("need at least one potential")
@@ -308,6 +369,11 @@ class BoxGlauber:
                 raise ValueError("all potentials must share one window")
         if start not in ("low", "mid"):
             raise ValueError(f"start must be 'low' or 'mid', got {start!r}")
+        if _groups is None:
+            _groups = ((rng, len(potentials)),)
+        self._groups = _check_groups(_groups, len(potentials))
+        if rng is not self._groups[0][0]:
+            raise ValueError("rng must be the first group's generator")
         lo_f, hi_f = _covered_envelopes(
             region, pinned, potentials[0], _envelopes
         )
@@ -328,13 +394,13 @@ class BoxGlauber:
 
         parity = coords.sum(axis=1) % 2
         low = np.asarray(lo_f.heights, dtype=np.int64)
+        high = np.asarray(hi_f.heights, dtype=np.int64)
         if start == "low":
             init = low
         else:
             # clip a flat parity-adjusted plane between the envelopes: the
             # median of three height functions is again a height function,
             # and this start sits near the equilibrium plateau
-            high = np.asarray(hi_f.heights, dtype=np.int64)
             t = int(np.round((low + high).mean() / 2.0))
             init = np.clip(t + (t + parity) % 2, low, high)
 
@@ -372,32 +438,107 @@ class BoxGlauber:
             k = deg[sites, None]
             nb = nbr[sites]
             nb = np.where(cols < k, nb, nb[:, :1])
+            _check_table_reach(nb, low, high, win)
             self._slots.append(np.ascontiguousarray(self._slot[nb].T))
             self._base.append(brow + (k * tab.shape[-1] - win[0]))
+        self._work: list[tuple[np.ndarray, ...]] | None = None
+
+    def _work_arrays(self) -> list[tuple[np.ndarray, ...]]:
+        """Per parity: neighbour heights, mn, mx, table index, P(up),
+        uniforms (chains-major), down and free-choice arrays.
+
+        Each kind is one buffer, sized for the larger block; the two
+        parities take views of its start.  The uniforms reuse the table
+        index's memory, which is dead once P(up) is read.
+        """
+        k, b = self._slots[0].shape[0], self.batch
+        sizes = [slots.shape[1] for slots in self._slots]
+
+        def shared(dtype, shape):
+            flat = np.empty(max(math.prod(shape(s)) for s in sizes), dtype)
+            return [
+                flat[: math.prod(shape(s))].reshape(shape(s)) for s in sizes
+            ]
+
+        def rows(s):
+            return (s, b)
+
+        hdt = self._h.dtype
+        index = shared(np.int64, rows)
+        return list(zip(
+            shared(hdt, lambda s: (k, s, b)),
+            shared(hdt, rows),
+            shared(hdt, rows),
+            index,
+            shared(np.float64, rows),
+            [i.view(np.float64).reshape(b, s) for i, s in zip(index, sizes)],
+            shared(np.bool_, rows),
+            shared(np.bool_, rows),
+        ))
 
     def half_sweep(self, parity: int) -> None:
+        if parity not in (0, 1):
+            raise ValueError(f"parity must be 0 or 1, got {parity!r}")
         slots = self._slots[parity]
         if slots.shape[1] == 0:
             return
+        work = self._work if self._work is not None else self._work_arrays()
+        nvs, mn, mx, idx, p_up, u, down, free = work[parity]
         h = self._h
-        nvs = h.take(slots, axis=0)  # (k, sites, batch)
-        mn = np.minimum.reduce(nvs)
-        mx = np.maximum.reduce(nvs)
-        p_up = self._table.take(mn + self._base[parity])
-        down = self.rng.random((self.batch, slots.shape[1])).T >= p_up
-        down &= mx == mn
+        # every slot is a storage row, and every index lies in the table
+        # (_check_table_reach), so "clip" never clips; "raise" would copy
+        h.take(slots, axis=0, out=nvs, mode="clip")  # (k, sites, batch)
+        np.minimum.reduce(nvs, out=mn)
+        np.maximum.reduce(nvs, out=mx)
+        np.add(mn, self._base[parity], out=idx)
+        self._table.take(idx, out=p_up, mode="clip")
+        top = 0  # u overwrites idx from here on
+        for rng, chains in self._groups:
+            rng.random(out=u[top : top + chains])
+            top += chains
+        np.greater_equal(u.T, p_up, out=down)
+        down &= np.equal(mx, mn, out=free)
         # new height mn + 1 - 2 down, written in place into the block's rows
         out = h[self._blocks[parity]]
         np.add(mn, 1, out=out)
-        out -= down
-        out -= down
+        step = down.view(np.int8)
+        out -= step
+        out -= step
 
     def sweep(self, n: int = 1) -> None:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(
+                f"number of sweeps must be an integer, got {n!r}"
+            ) from None
         if n < 0:
             raise ValueError(f"number of sweeps must be >= 0, got {n}")
-        for _ in range(n):
-            self.half_sweep(0)
-            self.half_sweep(1)
+        self._work = self._work_arrays()
+        try:
+            for _ in range(n):
+                self.half_sweep(0)
+                self.half_sweep(1)
+        finally:
+            self._work = None
+
+    def _keep_first_group(self) -> np.ndarray:
+        """Drop every chain outside the first group; return their heights.
+
+        The engine is then in the state, and draws the stream, of one
+        built with the first group's potentials and generator alone.  The
+        dropped chains' heights come as a (chains, region size) array in
+        the storage dtype, rows aligned with ``region.vertex_list``.
+        """
+        chains = self._groups[0][1]
+        dropped = self._h[:, chains:].take(self._slot, axis=0).T
+        per_chain = self._table.size // self.batch
+        self._groups = self._groups[:1]
+        self.batch = chains
+        self._h = np.ascontiguousarray(self._h[:, :chains])
+        self._table = self._table[: chains * per_chain].copy()
+        self._base = [np.ascontiguousarray(b[:, :chains]) for b in self._base]
+        return dropped
 
     @property
     def heights(self) -> np.ndarray:

@@ -796,8 +796,8 @@ def count_envelopes(monkeypatch):
 
 
 class TestEnvelopesOncePerSize:
-    """The sampled experiments share one envelope pair per box with both
-    of their engines."""
+    """The sampled experiments share one envelope pair per box with
+    their engine."""
 
     def test_concentration_experiment(self, monkeypatch):
         calls = count_envelopes(monkeypatch)
@@ -818,6 +818,76 @@ class TestEnvelopesOncePerSize:
             mean_draws=2, mean_samples_per_draw=2, burn_factor=0.1,
         )
         assert calls == [9, 25]
+
+
+def two_engine_deviations(region, pinned, envelopes, config, seed_key):
+    """``_sampled_deviations`` as two engines, one burned after the other.
+
+    The mean-field chains run on their own engine (generator seed
+    ``seed_key + (1,)``) and sample the mean; then the tail chains get a
+    fresh engine (seed ``seed_key + (2,)``) and their own burn.
+    """
+    window = gibbs._envelope_window(*envelopes)
+    span = window[1] - window[0] + 2
+    burn = max(50, int(round(config.burn_factor * span * span)))
+    thin = max(1, int(round(config.thin_factor * span * span)))
+
+    def burned_chains(chains, tag, first_draw):
+        pots = [
+            sample_potential(config.model, window, draw=first_draw + d)
+            for d in range(chains)
+        ]
+        rng = np.random.default_rng([*seed_key, tag])
+        eng = sampler.BoxGlauber(region, pinned, pots, rng, start=config.start)
+        eng.sweep(burn)
+        return eng
+
+    eng = burned_chains(config.mean_draws, 1, analysis._MEAN_DRAW_OFFSET)
+    mean, stderr = analysis._mean_field(
+        eng, config.mean_samples_per_draw, thin
+    )
+    eng = burned_chains(config.tail_samples, 2, 0)
+    return np.abs(eng.height_matrix() - mean).max(axis=1), stderr
+
+
+class TestJointBurn:
+    """The mean-field and tail chains of one size burn as one batch, each
+    group on its own generator, with the two-engine results."""
+
+    @pytest.mark.parametrize(
+        "n,boundary,model,start,counts,seed_key",
+        [
+            (5, "extremal", PotentialModel("twopoint", 1.0, 0), "mid",
+             (6, 4, 3), (0, 5)),
+            (7, "parity", PotentialModel("uniform", 1.0, 3), "low",
+             (3, 9, 2), (4, 7)),
+            (9, "extremal", PotentialModel("twopoint", 0.5, 1), "low",
+             (1, 1, 1), (2, 9)),
+            (6, "parity", PotentialModel("zero"), "mid", (5, 2, 4), (1,)),
+            (9, "extremal", PotentialModel("uniform", 2.0, 2), "mid",
+             (12, 20, 2), (3, 7, 1)),
+        ],
+    )
+    def test_equals_two_engines(
+        self, n, boundary, model, start, counts, seed_key
+    ):
+        region = make_box((0, 0), (n - 1, n - 1))
+        pinned = box_boundary_data(region, boundary, 1)
+        envelopes = min_max_extensions(region, pinned)
+        tails, mean_draws, per_draw = counts
+        config = ExperimentConfig(
+            model=model, tail_samples=tails, mean_draws=mean_draws,
+            mean_samples_per_draw=per_draw, burn_factor=0.5,
+            thin_factor=0.05, start=start,
+        )
+        devs, stderr = analysis._sampled_deviations(
+            region, pinned, envelopes, config, seed_key
+        )
+        want_devs, want_stderr = two_engine_deviations(
+            region, pinned, envelopes, config, seed_key
+        )
+        assert devs.tolist() == want_devs.tolist()
+        assert np.array_equal(stderr, want_stderr)
 
 
 class TestConcentrationExperiment:

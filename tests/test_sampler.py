@@ -24,6 +24,7 @@ from scipy.special import expit
 from randomsurfaces import sampler
 from randomsurfaces.gibbs import quenched_measure, required_window
 from randomsurfaces.heights import (
+    HeightFunction,
     enumerate_extensions,
     extremal_boundary,
     min_max_extensions,
@@ -666,3 +667,212 @@ def test_coupled_run_memory_is_bounded_by_a_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+# -- chain groups and the buffered half-sweep --------------------------------
+
+GROUP_CASES = [
+    (BOX9, extremal_boundary(BOX9, 1, 0)),
+    (HOLED, ring(HOLED)),
+    (L_SHAPE, L_PINS),
+    (CUBE3, {(0, 0, 0): 0, (2, 2, 2): 0}),
+    (PATH12, {(0,): 0, (11,): 3}),
+]
+GROUP_IDS = ["box", "ring", "L-shape", "cube", "path"]
+
+
+def group_potentials(region, pinned, kind, first_draw, chains):
+    lo, hi = required_window(region, pinned)
+    model = PotentialModel(kind, 1.0, 9)
+    return [
+        sample_potential(model, (lo, hi), draw=first_draw + d)
+        for d in range(chains)
+    ]
+
+
+def two_groups(region, pinned, kind, start, sizes=(3, 5)):
+    """A two-group engine and the two separate engines it stands for."""
+    pots = [
+        group_potentials(region, pinned, kind, 100 * g, c)
+        for g, c in enumerate(sizes)
+    ]
+    gens = [np.random.default_rng([31, g]) for g in range(2)]
+    joint = BoxGlauber(
+        region, pinned, pots[0] + pots[1], gens[0], start=start,
+        _groups=list(zip(gens, sizes)),
+    )
+    alone_gens = [np.random.default_rng([31, g]) for g in range(2)]
+    alone = [
+        BoxGlauber(region, pinned, p, g, start=start)
+        for p, g in zip(pots, alone_gens)
+    ]
+    return joint, gens, alone, alone_gens
+
+
+def states(gens):
+    return [g.bit_generator.state for g in gens]
+
+
+class TestChainGroups:
+    """A batch of groups, each on its own generator, is the separate
+    engines side by side: same heights, same generator end states."""
+
+    @pytest.mark.parametrize("start", ["low", "mid"])
+    @pytest.mark.parametrize("kind", ["twopoint", "uniform"])
+    @pytest.mark.parametrize("region,pinned", GROUP_CASES, ids=GROUP_IDS)
+    def test_groups_equal_separate_engines(self, region, pinned, kind, start):
+        joint, gens, alone, alone_gens = two_groups(region, pinned, kind, start)
+        joint.sweep(17)
+        for eng in alone:
+            eng.sweep(17)
+        want = np.concatenate([eng.height_matrix() for eng in alone])
+        assert np.array_equal(joint.height_matrix(), want)
+        assert states(gens) == states(alone_gens)
+
+    @pytest.mark.parametrize("region,pinned", GROUP_CASES, ids=GROUP_IDS)
+    def test_narrowed_engine_equals_first_group_alone(self, region, pinned):
+        joint, gens, alone, alone_gens = two_groups(
+            region, pinned, "twopoint", "mid"
+        )
+        joint.sweep(9)
+        alone[0].sweep(9)
+        alone[1].sweep(9)
+        dropped = joint._keep_first_group()
+        assert np.array_equal(dropped, alone[1].height_matrix())
+        assert joint.batch == 3 and joint.heights.shape[0] == 3
+        joint.sweep(11)
+        alone[0].sweep(11)
+        assert np.array_equal(joint.height_matrix(), alone[0].height_matrix())
+        assert states(gens[:1]) == states(alone_gens[:1])
+        # the dropped group's generator is no longer drawn from
+        assert states(gens[1:]) == states(alone_gens[1:])
+
+    def test_single_group_narrowing_is_a_no_op(self):
+        pots = group_potentials(L_SHAPE, L_PINS, "uniform", 0, 4)
+        a = BoxGlauber(L_SHAPE, L_PINS, pots, np.random.default_rng(2))
+        b = BoxGlauber(L_SHAPE, L_PINS, pots, np.random.default_rng(2))
+        a.sweep(3)
+        b.sweep(3)
+        assert a._keep_first_group().shape == (0, len(L_SHAPE))
+        a.sweep(4)
+        b.sweep(4)
+        assert np.array_equal(a.height_matrix(), b.height_matrix())
+
+    @pytest.mark.parametrize("region,pinned", GROUP_CASES, ids=GROUP_IDS)
+    def test_half_sweeps_equal_a_sweep(self, region, pinned):
+        joint, gens, _, _ = two_groups(region, pinned, "uniform", "low")
+        other, other_gens, _, _ = two_groups(region, pinned, "uniform", "low")
+        for _ in range(6):
+            joint.half_sweep(0)
+            joint.half_sweep(1)
+        other.sweep(6)
+        assert np.array_equal(joint.height_matrix(), other.height_matrix())
+        assert states(gens) == states(other_gens)
+
+    def test_engines_share_no_buffers(self):
+        # interleaved sweeps of two engines equal the same engines swept
+        # one after the other
+        def pair():
+            return [
+                BoxGlauber(
+                    region, pinned,
+                    group_potentials(region, pinned, "twopoint", 0, b),
+                    np.random.default_rng(b),
+                )
+                for (region, pinned), b in zip(GROUP_CASES[:2], (4, 6))
+            ]
+
+        mixed, apart = pair(), pair()
+        for _ in range(10):
+            for eng in mixed:
+                eng.sweep(1)
+                eng.half_sweep(0)
+                eng.half_sweep(1)
+        for eng in apart:
+            eng.sweep(20)
+        for a, b in zip(mixed, apart):
+            assert np.array_equal(a.height_matrix(), b.height_matrix())
+
+    @pytest.mark.parametrize("parity", [-1, 2, 3])
+    def test_half_sweep_rejects_other_parities(self, parity):
+        eng, _, _, _ = two_groups(BOX9, extremal_boundary(BOX9, 1, 0),
+                                  "twopoint", "low")
+        before = eng.height_matrix()
+        with pytest.raises(ValueError, match=f"parity.*{parity}"):
+            eng.half_sweep(parity)
+        assert np.array_equal(eng.height_matrix(), before)
+
+    @pytest.mark.parametrize("n", [2.5, "3", None])
+    def test_sweep_rejects_non_integer_counts(self, n):
+        eng, _, _, _ = two_groups(BOX9, extremal_boundary(BOX9, 1, 0),
+                                  "twopoint", "low")
+        with pytest.raises(ValueError, match=f"sweeps.*{n!r}"):
+            eng.sweep(n)
+
+    def test_sweep_accepts_numpy_integers(self):
+        a, _, _, _ = two_groups(PATH12, {(0,): 0, (11,): 3}, "uniform", "low")
+        b, _, _, _ = two_groups(PATH12, {(0,): 0, (11,): 3}, "uniform", "low")
+        a.sweep(np.int64(5))
+        b.sweep(5)
+        assert np.array_equal(a.height_matrix(), b.height_matrix())
+
+    @pytest.mark.parametrize(
+        "groups,match",
+        [
+            (lambda g: [(g, 2), (np.random.RandomState(0), 2)], "Generator"),
+            (lambda g: [(g, 4), (np.random.default_rng(1), 0)], ">= 1"),
+            (lambda g: [(g, 2.0), (np.random.default_rng(1), 2)], ">= 1"),
+            (lambda g: [(g, 1), (np.random.default_rng(1), 2)], "sum to 3"),
+            (lambda g: [(g, 2), (np.random.default_rng(1), 3)], "sum to 5"),
+            (lambda g: [], "sum to 0"),
+            (lambda g: [(np.random.default_rng(1), 4)], "first group"),
+        ],
+    )
+    def test_rejects_bad_groups(self, groups, match):
+        pots = group_potentials(L_SHAPE, L_PINS, "uniform", 0, 4)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=match):
+            BoxGlauber(L_SHAPE, L_PINS, pots, rng, _groups=groups(rng))
+
+    def test_rejects_a_non_generator_rng(self):
+        pots = group_potentials(L_SHAPE, L_PINS, "uniform", 0, 2)
+        with pytest.raises(ValueError, match="Generator"):
+            BoxGlauber(L_SHAPE, L_PINS, pots, np.random.RandomState(0))
+
+
+class TestTableReach:
+    """Half-sweeps read P(up) with take(mode="clip"), so every index must
+    lie in its own chain's and degree's table row."""
+
+    @pytest.mark.parametrize("start", ["low", "mid"])
+    @pytest.mark.parametrize("region,pinned", GROUP_CASES, ids=GROUP_IDS)
+    def test_neighbour_minima_stay_in_the_window(self, region, pinned, start):
+        pots = window_potentials(region, pinned, MIXED)
+        lo, hi = pots[0].window
+        eng = BoxGlauber(region, pinned, pots, np.random.default_rng(5),
+                         start=start)
+        free = [
+            (i, list(region.neighbor_positions(i)))
+            for i in free_positions(region, pinned)
+        ]
+        for step in range(40):
+            h = eng.height_matrix()
+            for i, nb in free:
+                mins = h[:, nb].min(axis=1)
+                assert lo <= mins.min() and mins.max() <= hi
+            eng.half_sweep(step % 2)
+
+    def test_rejects_envelopes_whose_reach_leaves_the_window(self):
+        # the path 0..4 pinned 0 at both ends has envelopes
+        # (0,-1,-2,-1,0) and (0,1,2,1,0); lowering the middle of the upper
+        # one to 0 narrows the window to [-2, 0], but the middle site's
+        # neighbours sit between -1 and 1
+        pinned = {(0,): 0, (4,): 0}
+        low, high = min_max_extensions(PATH5, pinned)
+        fake = HeightFunction(PATH5.vertex_list, (0, 1, 0, 1, 0))
+        p = Potential(-2, 0, np.zeros(3))
+        with pytest.raises(ValueError, match=r"reach \[-1, 1\]"):
+            BoxGlauber(PATH5, pinned, [p], np.random.default_rng(0),
+                       _envelopes=(low, fake))
+        BoxGlauber(PATH5, pinned, [Potential(-2, 1, np.zeros(4))],
+                   np.random.default_rng(0), _envelopes=(low, high))

@@ -533,9 +533,7 @@ def box_boundary_data(
     if kind == "parity":
         return parity_height(region).restrict(boundary(region))
     if kind == "extremal":
-        arr = np.asarray(region.vertex_list, dtype=np.int64)
-        anchor_vertex = tuple(int(x) for x in arr.min(axis=0))
-        anchor = sum(anchor_vertex) & 1
+        anchor = sum(region._bounds()[0]) & 1
         return extremal_boundary(region, direction, anchor)
     raise ValueError(f"boundary kind must be 'parity' or 'extremal', got {kind!r}")
 

@@ -152,7 +152,7 @@ def _cmd_surface(args) -> int:
     data = _load_boundary(args, region)
     model = _model(args)
     try:
-        window = gibbs.required_window(region, data)
+        envelopes = heights.min_max_extensions(region, data)
     except heights.NoExtensionError as err:
         print(
             f"infeasible boundary: |h({_fmt_vertex(err.x)}) - "
@@ -160,6 +160,7 @@ def _cmd_surface(args) -> int:
             f"distance {err.distance}"
         )
         return 2
+    window = gibbs._envelope_window(*envelopes)
     p = potential.sample_potential(model, window, draw=0)
     sweeps = args.sweeps
     if sweeps is None:
@@ -167,7 +168,9 @@ def _cmd_surface(args) -> int:
         span = window[1] - window[0] + 2
         sweeps = 10 * span * span
     rng = np.random.default_rng([args.seed, 17])
-    eng = sampler.BoxGlauber(region, data, [p], rng, start="low")
+    eng = sampler.BoxGlauber(
+        region, data, [p], rng, start="low", _envelopes=envelopes
+    )
     eng.sweep(sweeps)
     grid = eng.heights[0]
     _write_text(args.out, heights.format_grid(grid))

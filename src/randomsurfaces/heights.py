@@ -15,7 +15,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -25,8 +25,8 @@ from .lattice import (
     _INT64_MIN,
     Region,
     Vertex,
+    _bfs,
     _check_vertex,
-    distance_map,
     induced_edges,
     multi_source_distances,
 )
@@ -234,14 +234,31 @@ def _is_height_function_at(
 
 
 def _pinned_map(region: Region, pinned: Mapping[Vertex, int]) -> dict[Vertex, int]:
-    """The pinned data as a dict, checked to be a height function in region."""
+    """The pinned data as a dict, checked to be a height function in region.
+
+    Keys that are all tuples of Python ints and all region vertices pass
+    ``_check_vertex`` as they are, so they are taken without it; any
+    other keys go through it, which raises its own errors in key order.
+    """
     if isinstance(pinned, HeightFunction):
         vals = pinned.as_dict()
+        at = list(map(region._position.get, vals))
     else:
-        vals = {_check_vertex(v, region.dimension): int(z) for v, z in pinned.items()}
+        keys = list(pinned)
+        plain = set(map(type, keys)) <= {tuple} and set(
+            map(type, chain.from_iterable(keys))
+        ) <= {int}
+        at = list(map(region._position.get, keys)) if plain else None
+        if at is None or None in at:
+            vals = {
+                _check_vertex(v, region.dimension): int(z)
+                for v, z in pinned.items()
+            }
+            at = list(map(region._position.get, vals))
+        else:
+            vals = dict(zip(keys, map(int, pinned.values())))
     if not vals:
         raise ValueError("pinned data must be nonempty")
-    at = list(map(region._position.get, vals))
     if None in at:
         v = next(v for v, i in zip(vals, at) if i is None)
         raise ValueError(f"pinned vertex {v} lies outside the region")
@@ -277,14 +294,16 @@ def _first_violation(
     read off the envelopes, and one single-source BFS from x names y.
     """
     vs = sorted(vals)
-    for x in vs:
-        i = region.position(x)
-        if high[i] < vals[x] or low[i] > vals[x]:
-            dist = distance_map(region, x)
-            for y in vs:
-                gap = abs(vals[x] - vals[y])
-                if gap > dist[y]:
-                    return (x, y, gap, dist[y])
+    at = list(map(region._position.__getitem__, vs))
+    zs = list(map(vals.__getitem__, vs))
+    pos, z = np.array(at, dtype=np.intp), np.array(zs, dtype=np.int64)
+    outside = np.flatnonzero((high[pos] < z) | (low[pos] > z))
+    for k in outside.tolist():
+        dist, _ = _bfs(region._neighbor_positions, [(0, at[k])])
+        for y, j, zy in zip(vs, at, zs):
+            gap = abs(zs[k] - zy)
+            if gap > dist[j]:
+                return (vs[k], y, gap, dist[j])
     return None
 
 
@@ -323,9 +342,11 @@ def min_max_extensions(
         if witness is None:  # unreachable given low > high somewhere
             raise AssertionError("inconsistent envelope without metric witness")
         raise NoExtensionError(*witness)
-    lo_f = HeightFunction(region.vertex_list, tuple(int(z) for z in low))
-    hi_f = HeightFunction(region.vertex_list, tuple(int(z) for z in high))
-    return lo_f, hi_f
+    vs = region.vertex_list
+    return (
+        HeightFunction._trusted(vs, tuple(low.tolist())),
+        HeightFunction._trusted(vs, tuple(high.tolist())),
+    )
 
 
 def height_window(
@@ -538,27 +559,25 @@ def extremal_boundary(
 
     if not region.is_box():
         raise ValueError("extremal boundary data is defined for boxes only")
-    lows = np.asarray(region.vertex_list[0], dtype=np.int64)
-    if (int(anchor) - _vertex_parity(tuple(lows))) % 2 != 0:
+    corner = region._bounds()[0]
+    if (int(anchor) - _vertex_parity(corner)) % 2 != 0:
         raise ValueError(
-            f"anchor {anchor} has wrong parity for corner {tuple(lows)}"
+            f"anchor {anchor} has wrong parity for corner {corner}"
         )
+    ring = sorted(region_boundary(region))
     if region.dimension == 1:
-        values = {
-            v: anchor + direction * (v[0] - int(lows[0]))
-            for v in region_boundary(region)
-        }
+        values = [anchor + direction * (v[0] - corner[0]) for v in ring]
     elif region.dimension == 2:
-        a0, a1 = int(lows[0]), int(lows[1])
-        values = {
-            v: anchor + direction * abs((v[0] - a0) - (v[1] - a1))
-            for v in region_boundary(region)
-        }
+        a0, a1 = corner
+        values = [
+            anchor + direction * abs((v[0] - a0) - (v[1] - a1)) for v in ring
+        ]
     else:
         raise NotImplementedError(
             "extremal boundary data implemented for dimensions 1 and 2"
         )
-    return HeightFunction.from_dict(values)
+    # the ring holds region vertices in sorted order: nothing to check
+    return HeightFunction._trusted(tuple(ring), tuple(map(int, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +637,11 @@ def format_grid(grid: np.ndarray) -> str:
     arr = np.asarray(grid)
     if arr.ndim != 2:
         raise ValueError(f"grid must be 2D, got shape {arr.shape}")
+    rows = arr.tolist()
+    if arr.dtype.kind not in "iu":  # bools, floats, objects: read by int()
+        rows = [list(map(int, row)) for row in rows]
     lines = [f"2 {arr.shape[0]} {arr.shape[1]}"]
-    for row in arr:
-        lines.append(" ".join(str(int(z)) for z in row))
+    lines += [" ".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

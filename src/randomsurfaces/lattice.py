@@ -10,14 +10,16 @@ A Region is array-backed: its vertices are one (n, m) int64 coordinate
 array in lexicographic order, its adjacency a padded (n, 2m) neighbour
 matrix with a degree array, and its edges two endpoint arrays.  They
 are built in numpy (sorts and coordinate comparisons, no per-vertex
-Python work).  The tuple views (``vertex_list``, ``vertex_set``,
-positions, neighbour tuples) are made once; ``edge_positions`` is made
+Python work).  The tuple views (``vertex_list``, positions, neighbour
+tuples) are made once; ``vertex_set`` and ``edge_positions`` are made
 on first use only.
 
 One offset breadth-first search with parent pointers (``_bfs``) serves
 every traversal of the package: the connectivity check, single- and
 multi-source distances (and through them the height envelopes), and the
-boundary-to-interior walks of ``analysis``.
+boundary-to-interior walks of ``analysis``.  The connectivity check
+runs the search only when a region does not fill its bounding box: a
+set that fills its box is connected.
 """
 
 from __future__ import annotations
@@ -121,16 +123,21 @@ def _graph(coords: np.ndarray):
     Returns the sorted distinct vertices and each one's neighbour
     positions as tuples, then the arrays that ``Region`` keeps (see
     there): coordinates, neighbour matrix, degrees and the two edge
-    endpoint arrays.  Only the tuple views are built per vertex.
+    endpoint arrays, and last the coordinatewise minimum and maximum as
+    tuples of Python ints.  The numpy work runs on the transposed (m, n)
+    coordinates, so every comparison reads whole rows; the tuple views
+    are built with ``zip`` over columns, without per-vertex lists or
+    numpy scalars.
     """
     n, m = coords.shape
-    # lexicographic order and deduplication: one sort, then drop rows
-    # equal to their predecessor
-    coords = coords[np.lexsort(coords.T[::-1])]
-    fresh = (coords[1:] != coords[:-1]).any(axis=1)
+    # lexicographic order and deduplication: one sort, then drop
+    # vertices equal to their predecessor
+    ct = np.ascontiguousarray(coords.T)
+    ct = ct[:, np.lexsort(ct[::-1])]
+    fresh = (ct[:, 1:] != ct[:, :-1]).any(axis=0)
     if not fresh.all():
-        coords = coords[np.concatenate(([True], fresh))]
-        n = len(coords)
+        ct = ct[:, np.concatenate(([True], fresh))]
+        n = ct.shape[1]
 
     # Neighbours along axis d: sorted by the other coordinates first and
     # coordinate d last, v and v + e_d are consecutive, and their
@@ -141,34 +148,39 @@ def _graph(coords: np.ndarray):
     # 2m - 1 - d holds v + e_d, so a row ascends; sorting each row with
     # padding n moves the padding last.
     nbr = np.full((n, 2 * m), n, dtype=np.int64)
-    unit = np.eye(m, dtype=np.int64)
+    ends = []
+    unit = np.eye(m, dtype=np.int64)[:, :, None]
     for d in range(m):
         if d == m - 1:
-            order = np.arange(n)
+            order, sc = np.arange(n), ct
         else:
             keys = [d] + [k for k in range(m - 1, -1, -1) if k != d]
-            order = np.lexsort(coords.T[keys])
-        step = (coords[order[1:]] - coords[order[:-1]] == unit[d]).all(axis=1)
+            order = np.lexsort(ct[keys])
+            sc = ct[:, order]
+        step = (sc[:, 1:] - sc[:, :-1] == unit[d]).all(axis=0)
         a, b = order[:-1][step], order[1:][step]
         nbr[a, 2 * m - 1 - d] = b
         nbr[b, d] = a
+        ends += [a, b]
+    degree = np.bincount(np.concatenate(ends), minlength=n)
     nbr.sort(axis=1)
-    present = nbr < n
-    degree = present.sum(axis=1)
-    nbr[~present] = -1
+    nbr[nbr == n] = -1
     ea, col = np.nonzero(nbr > np.arange(n)[:, None])
 
-    rows = nbr.tolist()
-    for i in np.nonzero(degree < 2 * m)[0].tolist():
-        rows[i] = rows[i][: degree[i]]
+    # one tuple per row, then the rows with padding cut to their degree
+    rows = list(zip(*nbr.T.tolist()))
+    short = np.flatnonzero(degree < 2 * m)
+    for i, k in zip(short.tolist(), degree[short].tolist()):
+        rows[i] = rows[i][:k]
     return (
-        tuple(map(tuple, coords.tolist())),
-        tuple(map(tuple, rows)),
-        coords,
+        tuple(zip(*ct.tolist())),
+        tuple(rows),
+        np.ascontiguousarray(ct.T),
         nbr,
         degree,
         ea.astype(np.int64, copy=False),
         nbr[ea, col],
+        (tuple(ct.min(axis=1).tolist()), tuple(ct.max(axis=1).tolist())),
     )
 
 
@@ -176,7 +188,9 @@ class Region:
     """A finite connected set of lattice vertices with induced adjacency.
 
     Construction validates nonemptiness, uniform dimension, int64
-    coordinates and connectedness.  Any iterable of vertices is accepted,
+    coordinates and connectedness; the connectedness check runs a
+    breadth-first search only when the vertices do not fill their
+    bounding box (``is_box``).  Any iterable of vertices is accepted,
     including an (n, m) integer array.  The instance is immutable and
     holds, all aligned with the lexicographic vertex order:
 
@@ -185,17 +199,19 @@ class Region:
       of vertex i's in-region neighbours in ascending order, padded
       with -1, and ``_degree``, the number of them;
     * ``_edge_ends``: the edges (i, j), i < j, in lexicographic order, as
-      two endpoint arrays (``edge_arrays``).
+      two endpoint arrays (``edge_arrays``);
+    * ``_corners``: the coordinatewise minimum and maximum, as tuples of
+      Python ints (``_bounds``).
 
-    The arrays are read-only.  ``vertex_list``, ``vertex_set``,
-    ``position`` and ``neighbor_positions`` are tuple views built on
-    construction; ``edge_positions`` is built on first use.
+    The arrays are read-only.  ``vertex_list``, ``position`` and
+    ``neighbor_positions`` are tuple views built on construction;
+    ``vertex_set`` and ``edge_positions`` are built on first use.
     """
 
     __slots__ = (
         "dimension",
         "vertex_list",
-        "vertex_set",
+        "_vertex_set",
         "_position",
         "_neighbor_positions",
         "_edge_positions",
@@ -203,17 +219,18 @@ class Region:
         "_neighbors",
         "_degree",
         "_edge_ends",
+        "_corners",
     )
 
     def __init__(self, vertices: Iterable[Vertex]):
         coords = _coordinate_array(vertices)
         if not len(coords):
             raise ValueError("region must be nonempty")
-        vs, rows, coords, nbr, degree, ea, eb = _graph(coords)
+        vs, rows, coords, nbr, degree, ea, eb, bounds = _graph(coords)
         set_ = object.__setattr__
         set_(self, "dimension", coords.shape[1])
         set_(self, "vertex_list", vs)
-        set_(self, "vertex_set", frozenset(vs))
+        set_(self, "_vertex_set", None)
         set_(self, "_position", dict(zip(vs, range(len(vs)))))
         set_(self, "_neighbor_positions", rows)
         set_(self, "_edge_positions", None)
@@ -221,9 +238,13 @@ class Region:
         set_(self, "_neighbors", _read_only(nbr))
         set_(self, "_degree", _read_only(degree))
         set_(self, "_edge_ends", (_read_only(ea), _read_only(eb)))
+        set_(self, "_corners", bounds)
         self._check_connected()
 
     def _check_connected(self) -> None:
+        # a set that fills its bounding box is connected
+        if self.is_box():
+            return
         dist, _ = _bfs(self._neighbor_positions, [(0, 0)])
         if None in dist:
             missing = self.vertex_list[dist.index(None)]
@@ -243,7 +264,7 @@ class Region:
 
     def __contains__(self, v) -> bool:
         try:
-            return tuple(v) in self.vertex_set
+            return tuple(v) in self._position
         except TypeError:  # not iterable, or unhashable coordinates
             return False
 
@@ -260,6 +281,13 @@ class Region:
             f"Region(dim={self.dimension}, size={len(self)}, "
             f"first={self.vertex_list[0]})"
         )
+
+    @property
+    def vertex_set(self) -> frozenset[Vertex]:
+        """The vertices as a frozenset, built on first use."""
+        if self._vertex_set is None:
+            object.__setattr__(self, "_vertex_set", frozenset(self.vertex_list))
+        return self._vertex_set
 
     def position(self, v: Vertex) -> int:
         """Index of ``v`` in ``vertex_list``; raises KeyError if absent."""
@@ -282,12 +310,10 @@ class Region:
         """Edge endpoints as two parallel read-only int64 position arrays."""
         return self._edge_ends
 
-    def _bounds(self) -> tuple[list[int], list[int]]:
-        """Coordinatewise minimum and maximum, as Python ints."""
-        return (
-            self._coords.min(axis=0).tolist(),
-            self._coords.max(axis=0).tolist(),
-        )
+    def _bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Coordinatewise minimum and maximum, as tuples of Python ints
+        (found on construction)."""
+        return self._corners
 
     def is_box(self) -> bool:
         """True iff the region is its whole bounding box.

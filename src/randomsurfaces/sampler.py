@@ -60,16 +60,23 @@ def _expit(t: np.ndarray) -> np.ndarray:
 
     ``math.exp`` is libm's ``exp``, the one scipy.special.expit calls, so
     the two agree to the last bit; numpy's own vectorised ``exp`` may
-    differ from it by an ulp.  exp(-t) overflows for t < -709.78, where
-    the result is 0.
+    differ from it by an ulp.  So ``math.exp`` runs over the distinct
+    arguments in one ``map`` pass, and 1 / (1 + e) in numpy, whose IEEE
+    add and divide round as Python's float operations do.  exp(-t)
+    overflows for t < -709.78, where the result is 0: the arguments below
+    -709 go one by one.
     """
     uniq, inv = np.unique(t.ravel(), return_inverse=True)
     vals = np.empty(uniq.size)
-    for i, x in enumerate(uniq.tolist()):
+    near = int(np.searchsorted(uniq, -709.0))  # uniq[:near] < -709
+    for i, x in enumerate(uniq[:near].tolist()):
         try:
             vals[i] = 1.0 / (1.0 + math.exp(-x))
         except OverflowError:
             vals[i] = 0.0
+    args = (-uniq[near:]).tolist()
+    e = np.fromiter(map(math.exp, args), dtype=float, count=len(args))
+    np.divide(1.0, 1.0 + e, out=vals[near:])
     return vals[inv.reshape(t.shape)]
 
 

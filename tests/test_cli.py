@@ -6,6 +6,7 @@ be a pure function of its arguments and seeds: running it twice yields
 byte-identical stdout and output files.
 """
 
+import hashlib
 import subprocess
 import sys
 
@@ -436,6 +437,77 @@ class TestDeterminism:
             assert code == 0
             blobs.append(out_file.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestRecordedOutputs:
+    """Outputs that must not move while the random streams stay as they
+    are: SHA-256 digests of files written by the CLI as it stood before
+    the set-up path of large boxes was trimmed (one envelope pass per
+    ``surface``, no connectivity search for boxes)."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--n", "5"],
+             "1e2bdeec610bd152ecbf4a95d3f5dddbd96651692ca401e48afc89441ccfe14b"),
+            (["--n", "100", "--sweeps", "20", "--seed", "3"],
+             "7ed4a7d916e41d694b036ba8dd19e82f88e620f3c4a71497945d7282876c6fe5"),
+        ],
+    )
+    def test_surface(self, tmp_path, capsys, argv, digest):
+        out_file = tmp_path / "s.grid"
+        code, out, _ = run(
+            capsys, "surface", "--boundary", "extremal", "--model",
+            "twopoint:a=1", *argv, "--out", str(out_file),
+        )
+        assert code == 0
+        assert sha256(out_file.read_bytes()) == digest
+
+    def test_two_size_concentration(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "ns = 5, 9\nmodel = twopoint:a=1\nboundary = extremal\n"
+            "tail_samples = 30\nmean_draws = 10\nmean_samples_per_draw = 4\n"
+            "seed = 3\n"
+        )
+        out_file = tmp_path / "r.csv"
+        code, out, _ = run(
+            capsys, "concentration", "--config", str(cfg),
+            "--out", str(out_file),
+        )
+        assert code == 0
+        assert sha256(out_file.read_bytes()) == (
+            "f211d6df8eebac552627a1b9e62004a8e701f1fd6f0881de4ec49818ece760e6"
+        )
+        assert sha256(out.replace(str(out_file), "OUT").encode()) == (
+            "ce3341d2956f993657f66c043c6c061da41e9a23dd0e6aa34f14cddd51a53326"
+        )
+
+    @pytest.mark.parametrize("n, sweeps", [(5, "3"), (100, "1")])
+    def test_surface_builds_the_envelopes_once(
+        self, tmp_path, capsys, monkeypatch, n, sweeps
+    ):
+        from randomsurfaces import gibbs, heights, sampler
+
+        calls = []
+        envelopes = heights.min_max_extensions
+
+        def counting(region, pinned):
+            calls.append(len(region))
+            return envelopes(region, pinned)
+
+        for mod in (heights, gibbs, sampler):
+            monkeypatch.setattr(mod, "min_max_extensions", counting)
+        code, _, _ = run(
+            capsys, "surface", "--n", str(n), "--sweeps", sweeps,
+            "--out", str(tmp_path / "s.grid"),
+        )
+        assert code == 0
+        assert calls == [n * n]
 
 
 class TestConsoleScript:

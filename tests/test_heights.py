@@ -285,6 +285,37 @@ class TestPinnedValidation:
         with pytest.raises(ValueError, match="int64"):
             min_max_extensions(PATH5, {(0,): 2**64, (4,): 0})
 
+    def test_keys_come_out_as_python_int_tuples(self):
+        want = {(0, 0): 0, (2, 2): 0, (1, 2): 1}
+        for keys in (
+            list(want),
+            [tuple(np.int64(c) for c in v) for v in want],
+            [(False, False), (2, 2), (True, 2)],
+            [[0, 0], (2, 2), (1, 2)],
+        ):
+            pins = dict(zip(map(tuple, keys), want.values()))
+            got = _pinned_map(BOX3, pins)
+            assert got == want and list(got) == list(want)
+            assert {type(c) for v in got for c in v} == {int}
+            assert {type(z) for z in got.values()} == {int}
+
+    @pytest.mark.parametrize(
+        "pins, message",
+        [
+            # a bad key is named before any vertex outside the region
+            ({(9, 9): 0, (0,): 0}, "vertex (0,) has dimension 1, expected 2"),
+            ({(0, 0): 0, (0.5, 1): 1}, "vertex must be a nonempty tuple of ints"),
+            ({(0, 0): 0, (): 1}, "vertex must be a nonempty tuple of ints"),
+            ({(0, 0): 0, (9, 9): 0}, "pinned vertex (9, 9) lies outside the region"),
+            ({(np.int64(3), 0): 1}, "pinned vertex (3, 0) lies outside the region"),
+            ({}, "pinned data must be nonempty"),
+        ],
+    )
+    def test_error_texts(self, pins, message):
+        with pytest.raises(ValueError) as err:
+            _pinned_map(BOX3, pins)
+        assert str(err.value).startswith(message)
+
 
 class TestKirszbraun:
     def test_gap_pin_feasible_on_ring_not_on_box(self):
@@ -654,10 +685,15 @@ class TestArrayBackedExtensionSet:
         ring = parity_height(box).restrict(boundary(box))
         member = enumerate_extensions(box, ring).members[3]
 
-        def no_member(cls, domain, heights):
+        def no_member(*args):
             raise AssertionError("a HeightFunction member was built")
 
-        monkeypatch.setattr(HeightFunction, "_trusted", classmethod(no_member))
+        # members are built only by reading or iterating a MemberView
+        # (the envelopes from min_max_extensions are not members)
+        from randomsurfaces.heights import MemberView
+
+        monkeypatch.setattr(MemberView, "__getitem__", no_member)
+        monkeypatch.setattr(MemberView, "__iter__", no_member)
         support = enumerate_extensions(box, ring)
         assert len(support) == 7
         assert support.members_array.shape == (7, 16)
@@ -798,6 +834,29 @@ class TestExtremalBoundary:
     def test_anchor_parity_enforced(self):
         with pytest.raises(ValueError):
             extremal_boundary(BOX3, 1, 1)
+        box = make_box((1, 0), (3, 2))
+        with pytest.raises(ValueError) as err:
+            extremal_boundary(box, 1, 0)
+        assert str(err.value) == "anchor 0 has wrong parity for corner (1, 0)"
+
+    @pytest.mark.parametrize(
+        "lows, highs, anchor",
+        [((0, 0), (6, 6), 0), ((-3, 5), (2, 7), 2), ((4,), (9,), np.int64(-4)),
+         ((-7, -1), (-7, 3), -6)],
+    )
+    def test_matches_the_formula(self, lows, highs, anchor):
+        box = make_box(lows, highs)
+        a = box.vertex_list[0]
+        for direction in (1, -1):
+            want = HeightFunction.from_dict({
+                v: anchor + direction * (
+                    v[0] - a[0] if len(v) == 1 else abs((v[0] - a[0]) - (v[1] - a[1]))
+                )
+                for v in boundary(box)
+            })
+            got = extremal_boundary(box, direction, anchor)
+            assert got == want
+            assert {type(z) for z in got.heights} == {int}
 
     def test_non_box_rejected(self):
         with pytest.raises(ValueError):

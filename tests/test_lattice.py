@@ -272,6 +272,90 @@ class TestRegionConstruction:
         assert a == b
 
 
+def count_bfs(monkeypatch, fail=False):
+    """Count (or forbid) ``lattice._bfs`` calls."""
+    calls = []
+    bfs = lattice._bfs
+
+    def counting(nbrs, sources):
+        if fail:
+            raise AssertionError("the connectivity search ran")
+        calls.append(len(nbrs))
+        return bfs(nbrs, sources)
+
+    monkeypatch.setattr(lattice, "_bfs", counting)
+    return calls
+
+
+class TestConnectivitySearch:
+    """A region that fills its bounding box is connected without a search;
+    any other region is still searched, with the same error text."""
+
+    @pytest.mark.parametrize(
+        "lows, highs",
+        [
+            ((5,), (5,)),
+            ((0, 0), (0, 0)),
+            ((-3, 7, 0), (-3, 7, 0)),
+            ((0, 0, 0), (2, 3, 1)),
+            ((-1, 4, 2), (1, 4, 5)),
+            ((INT64_MAX - 2, INT64_MIN), (INT64_MAX, INT64_MIN + 1)),
+            ((INT64_MIN, INT64_MAX - 1, 0), (INT64_MIN + 1, INT64_MAX, 1)),
+        ],
+    )
+    def test_boxes_build_without_a_search(self, monkeypatch, lows, highs):
+        want = OracleRegion(
+            itertools.product(*(range(a, b + 1) for a, b in zip(lows, highs)))
+        )
+        count_bfs(monkeypatch, fail=True)
+        box = make_box(lows, highs)
+        assert box.is_box()
+        assert box.vertex_list == want.vertex_list
+        assert box.neighbor_positions(0) == want.neighbor_positions[0]
+        # the same vertices given shuffled, with repeats, fill the box too
+        vs = list(box.vertex_list) * 2
+        random.Random(3).shuffle(vs)
+        assert Region(vs) == box
+
+    def test_l_shape_is_searched(self, monkeypatch):
+        calls = count_bfs(monkeypatch)
+        region = Region([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)])
+        assert not region.is_box()
+        assert calls == [5]
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([(0, 0), (0, 2)], "(0, 2) unreachable from (0, 0)"),
+            # repeats make as many inputs as the 3-point bounding box has
+            ([(0, 0), (0, 0), (0, 2)], "(0, 2) unreachable from (0, 0)"),
+            ([(1, 1), (0, 0), (0, 1), (1, 3)], "(1, 3) unreachable from (0, 0)"),
+            ([(0,), (INT64_MAX,)], f"({INT64_MAX},) unreachable from (0,)"),
+        ],
+    )
+    def test_disconnected_message(self, monkeypatch, vertices, message):
+        calls = count_bfs(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            Region(vertices)
+        assert str(err.value) == f"region is not connected: {message}"
+        assert len(calls) == 1
+
+    def test_bounds_are_python_ints(self, metric_instances):
+        for region, _, _ in metric_instances:
+            lows, highs = region._bounds()
+            assert lows == tuple(region._coords.min(axis=0).tolist())
+            assert highs == tuple(region._coords.max(axis=0).tolist())
+            assert {type(c) for c in lows + highs} == {int}
+
+    def test_vertex_set_is_built_on_first_use(self):
+        box = make_box((0, 0), (2, 2))
+        assert box._vertex_set is None
+        assert (1, 1) in box and (3, 3) not in box
+        assert box._vertex_set is None
+        assert box.vertex_set == frozenset(box.vertex_list)
+        assert box.vertex_set is box.vertex_set
+
+
 class TestEdgesAndNeighbors:
     def test_box_edge_count(self):
         box = make_box((0, 0), (2, 2))
@@ -588,8 +672,11 @@ class TestLargeRegions:
             vs = vs + vs[:2]
             rng.shuffle(vs)
             got = lattice._graph(np.asarray(vs, dtype=np.int64))
-            sorted_vs, rows, coords, nbr, degree, ea, eb = got
+            sorted_vs, rows, coords, nbr, degree, ea, eb, bounds = got
             assert sorted_vs == tuple(sorted(set(vs)))
+            assert bounds == (
+                tuple(map(min, zip(*vs))), tuple(map(max, zip(*vs)))
+            )
             assert coords.tolist() == [list(v) for v in sorted_vs]
             pos = {v: i for i, v in enumerate(sorted_vs)}
             want = sorted((pos[x], pos[y]) for x, y in lattice.induced_edges(vs))
@@ -699,3 +786,52 @@ class TestRegionFiles:
     def test_parse_rejects_non_integer(self):
         with pytest.raises(ValueError):
             parse_region("2\n0 x\n")
+
+
+class TestBoxSetupOutputs:
+    """What the box set-up path hands on: envelopes in Python ints and
+    grids in the text the per-element formula wrote."""
+
+    def test_envelope_heights_are_python_ints(self, metric_instances):
+        from randomsurfaces.heights import (
+            extremal_boundary,
+            kirszbraun_extendable,
+            min_max_extensions,
+        )
+
+        box = make_box((0, 0), (6, 6))
+        cases = [(box, extremal_boundary(box, -1, 2))]
+        cases += [(region, pins) for region, pins, _ in metric_instances[:20]]
+        for region, pins in cases:
+            if not kirszbraun_extendable(region, pins):
+                continue
+            for f in min_max_extensions(region, pins):
+                assert f.domain is region.vertex_list
+                assert {type(z) for z in f.heights} == {int}
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_format_grid_matches_the_per_element_text(self, dtype):
+        from randomsurfaces.heights import format_grid
+
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(17)
+        for shape in [(1, 1), (3, 5), (6, 2)]:
+            grid = rng.integers(-40, 40, size=shape).astype(dtype)
+            grid.flat[0] = info.min
+            grid.flat[-1] = info.max
+            old = [f"2 {shape[0]} {shape[1]}"]
+            old += [" ".join(str(int(z)) for z in row) for row in grid]
+            assert format_grid(grid) == "\n".join(old) + "\n"
+
+    def test_format_grid_reads_other_dtypes_with_int(self):
+        from randomsurfaces.heights import format_grid
+
+        for grid in (
+            np.array([[True, False], [False, True]]),
+            np.array([[2.7, -2.7], [0.0, -0.5]]),
+            np.array([[2**70, -1], [3, 4]], dtype=object),
+            np.array([[2**64 - 1, 0]], dtype=np.uint64),
+        ):
+            old = [f"2 {grid.shape[0]} {grid.shape[1]}"]
+            old += [" ".join(str(int(z)) for z in row) for row in grid]
+            assert format_grid(grid) == "\n".join(old) + "\n"

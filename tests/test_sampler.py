@@ -653,6 +653,56 @@ class TestExpit:
         assert np.array_equal(sampler._flip_table(values[0], 4), want[0])
 
 
+def scalar_expit(x: float) -> float:
+    """1 / (1 + exp(-x)) in Python floats, 0 where exp(-x) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestExpitAgainstScalar:
+    """``_expit`` equals the scalar formula bit for bit, -0.0 included."""
+
+    def check(self, t):
+        t = np.asarray(t, dtype=float)
+        want = np.array([scalar_expit(x) for x in t.ravel().tolist()])
+        got = sampler._expit(t)
+        assert got.shape == t.shape
+        assert same_bits(got.ravel(), want)
+
+    def test_random_arguments(self):
+        rng = np.random.default_rng(16)
+        for scale in (1e-6, 1.0, 40.0, 400.0):
+            self.check(rng.standard_normal((4, 3, 250)) * scale)
+        self.check(rng.uniform(-800.0, 800.0, 2000))
+
+    def test_around_the_overflow(self):
+        # exp(709.78) is finite, exp(709.79) overflows; -709 is the split
+        # between the one-by-one and the vectorised arguments
+        edges = [-709.78, -709.79, -745.0, -1e308, -709.0, -708.999999]
+        self.check(edges)
+        got = sampler._expit(np.array(edges))
+        assert got[1:4].tolist() == [0.0, 0.0, 0.0]
+        assert got[0] > 0.0
+
+    def test_signed_zeros_and_large_positive(self):
+        t = [0.0, -0.0, 36.7, 37.0, 710.0, 745.0, 1e308, 1e-300, -1e-300]
+        self.check(t)
+        got = sampler._expit(np.array(t))
+        assert got[:2].tolist() == [0.5, 0.5]
+        assert got[4:7].tolist() == [1.0, 1.0, 1.0]
+
+    def test_only_overflowing_or_only_plain_arguments(self):
+        self.check([-800.0, -1e308])
+        self.check([1.0, 2.0])
+        self.check(np.zeros((2, 0)))
+
+
 def test_coupled_run_memory_is_bounded_by_a_chunk():
     # one-shot draws of 500k picks and uniforms would hold 8 MB of arrays
     # alone, before their conversion to lists

@@ -7,7 +7,8 @@ Submodules:
 * ``potential``  the random environment on height-axis edges
 * ``gibbs``      quenched and annealed Gibbs measures, structure identities
 * ``sampler``    exact sampling and checkerboard heat-bath sweeps, with
-                 the single-site kernel and coupled runs
+                 the exact single-site kernel and coupled ordered pairs
+                 run on the sweep engine
 * ``analysis``   stochastic dominance, martingale audits, concentration
                  experiments
 * ``cli``        the ``randomsurfaces`` command line tool

@@ -735,7 +735,7 @@ def _sampled_deviations(
         ]
     eng = BoxGlauber(
         region, pinned, pots, groups[0][0], start=config.start,
-        _envelopes=envelopes, _groups=groups,
+        _envelopes=[envelopes] * len(groups), _groups=groups,
     )
     eng.sweep(burn)
     tails = eng._keep_first_group()

@@ -169,7 +169,7 @@ def _cmd_surface(args) -> int:
         sweeps = 10 * span * span
     rng = np.random.default_rng([args.seed, 17])
     eng = sampler.BoxGlauber(
-        region, data, [p], rng, start="low", _envelopes=envelopes
+        region, data, [p], rng, start="low", _envelopes=[envelopes]
     )
     eng.sweep(sweeps)
     grid = eng.heights[0]

@@ -9,13 +9,11 @@ lattice those neighbours share a parity, so their heights span 0 or 2:
   exp(k omega_z) and exp(k omega_{z-1}) since each of the k edges feels
   omega at the lower endpoint, so P(up) = expit(k (omega_z - omega_{z-1})).
 
-Every path reads P(up) from one table per potential, indexed by k and
-z, built with the logistic function expit(t) = 1 / (1 + exp(-t)) in
-libm's ``exp`` through ``math.exp`` (overflow gives 0, so any finite
-potential is safe), once per distinct argument.  The decision
-rule "take the upper candidate iff u < P(upper)" with a shared uniform u
-and shared vertex choice couples two chains so that a pointwise height
-ordering is preserved forever.
+This closed form is the module's one heat-bath rule.  It reads P(up)
+from one table per potential, indexed by k and z, built with the
+logistic function expit(t) = 1 / (1 + exp(-t)) in libm's ``exp``
+through ``math.exp`` (overflow gives 0, so any finite potential is
+safe), once per distinct argument.
 
 Every sampled surface comes from ``BoxGlauber``, a vectorized
 checkerboard-sweep engine on any region in any dimension that runs many
@@ -23,10 +21,11 @@ chains in parallel (heights stored sites-major with the free sites of
 each parity in one contiguous block, so a half-sweep is one neighbour
 gather and one block write).  On a bipartite graph same-parity sites
 have disjoint neighbourhoods, so a half-sweep is a composition of
-commuting single-site heat-bath kernels.  That single-site kernel is
-kept in exact form (``transition_matrix``) and as a pair of coupled
-chains (``coupled_run``, a Python loop that draws its picks and
-uniforms in fixed chunks), which witness the monotone coupling.
+commuting single-site heat-bath kernels; ``transition_matrix`` is that
+kernel in exact form.  The decision "take the upper candidate iff
+u < P(upper)" is monotone in the heights, so two chains fed the same
+uniforms keep a pointwise order forever: ``coupled_run`` sweeps such a
+pair as one engine with two single-chain groups.
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ __all__ = [
     "transition_matrix",
     "BoxGlauber",
 ]
-
-# updates drawn per chunk by the coupled single-site chains
-_CHUNK = 1 << 14
 
 
 def _expit(t: np.ndarray) -> np.ndarray:
@@ -94,72 +90,28 @@ def _flip_table(values: np.ndarray, kmax: int) -> np.ndarray:
     return _expit(k * step[..., None, :])
 
 
-def _single_site_plan(region: Region, pinned: HeightFunction, p: Potential):
-    """Free positions, neighbour positions, and each position's table row."""
-    pinned_pos = {region.position(v) for v in pinned.domain}
-    free = [i for i in range(len(region)) if i not in pinned_pos]
-    nbrs = region._neighbor_positions
-    tab = _flip_table(p.values, max(map(len, nbrs))).tolist()
-    return free, nbrs, [tab[len(nb)] for nb in nbrs]
+def _neighbor_slots(region: Region, sites: np.ndarray):
+    """In-region degrees k and a (sites, kmax) matrix of neighbour
+    positions for ``sites``, padded to the region's largest degree by
+    repeating a site's first neighbour (which leaves min and max as
+    they are)."""
+    deg = region._degree
+    kmax = int(deg.max())
+    k = deg[sites]
+    nb = region._neighbors[sites, :kmax]
+    return k, np.where(np.arange(kmax) < k[:, None], nb, nb[:, :1])
 
 
-def _up_probability(
-    h: list[int], nb: tuple[int, ...], row: list[float], plo: int
-) -> tuple[int, float]:
-    """Lowest neighbour height m and P(new height = m + 1).
-
-    Neighbours of a site share a parity, so they span 0 or 2.  Spanning
-    2 forces m + 1 (probability 1); otherwise the site sees k neighbours
-    at m and goes to m + 1 with the table probability, else to m - 1.
-    """
-    mn = mx = h[nb[0]]
-    for j in nb:
-        z = h[j]
-        if z < mn:
-            mn = z
-        elif z > mx:
-            mx = z
-    return mn, (row[mn - plo] if mn == mx else 1.0)
-
-
-def _covered_envelopes(
-    region: Region,
-    pinned: Mapping[Vertex, int],
-    p: Potential,
-    envelopes: tuple[HeightFunction, HeightFunction] | None = None,
-) -> tuple[HeightFunction, HeightFunction]:
-    """The minimal and maximal extensions, once ``p``'s window is checked
-    to cover every edge minimum between them.  ``envelopes``, when given,
-    are those extensions already computed."""
-    if envelopes is None:
-        envelopes = min_max_extensions(region, pinned)
-    low, high = envelopes
+def _check_window(
+    p: Potential, low: HeightFunction, high: HeightFunction
+) -> None:
+    """Reject ``p`` unless its window covers every edge minimum between
+    the minimal and maximal extensions ``low`` and ``high``."""
     lo, hi = _envelope_window(low, high)
     if not p.covers(lo, hi):
         raise ValueError(
             f"potential window {p.window} does not cover required [{lo}, {hi}]"
         )
-    return low, high
-
-
-def _site_draws(rng: np.random.Generator, free: list[int], steps: int):
-    """Chosen positions and uniforms for ``steps`` updates, chunk by chunk.
-
-    Yields, as lists, exactly the values of
-    ``rng.integers(len(free), size=steps)`` (mapped to positions) and
-    then ``rng.random(steps)``, and leaves ``rng`` in that end state, but
-    holds at most ``_CHUNK`` of each at a time: a copy of the generator
-    draws the picks while ``rng``, first advanced past them, draws the
-    uniforms.
-    """
-    picker = copy.deepcopy(rng)
-    chunks = [min(_CHUNK, steps - s) for s in range(0, steps, _CHUNK)]
-    for c in chunks:
-        rng.integers(len(free), size=c)
-    positions = np.asarray(free, dtype=np.intp)
-    for c in chunks:
-        picks = picker.integers(len(free), size=c)
-        yield positions[picks].tolist(), rng.random(c).tolist()
 
 
 def coupled_run(
@@ -170,45 +122,53 @@ def coupled_run(
     steps: int,
     rng: np.random.Generator,
 ) -> tuple[HeightFunction, HeightFunction]:
-    """Evolve two chains with shared vertex choices and uniforms.
+    """Evolve two heat-bath chains on shared uniforms, one per datum.
 
     Boundary data must be pinned on the same vertex set and ordered
-    (low <= high pointwise); the chains start at their minimal
-    extensions, which are then ordered, and the shared-threshold rule
-    keeps them ordered at every step (checked, raising AssertionError
-    on violation — which would indicate a broken update rule).
+    (low <= high pointwise).  The pair is one ``BoxGlauber`` with two
+    single-chain groups, each started at the minimal extension of its
+    own datum: the first group draws from ``rng``, the second from a
+    copy of it in the same state, so both chains see the same uniforms
+    and ``rng`` ends where one chain's engine would leave it.  The pair
+    runs ceil(steps / free sites) sweeps, so each chain makes at least
+    ``steps`` site updates.  The shared-threshold rule keeps the chains
+    ordered; the order is checked after every half-sweep, raising
+    AssertionError on violation — which would indicate a broken update
+    rule.
     """
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise ValueError(
+            f"number of steps must be an integer, got {steps!r}"
+        ) from None
     if steps < 0:
         raise ValueError(f"number of steps must be >= 0, got {steps}")
-    h_low = list(_covered_envelopes(region, pinned_low, p)[0].heights)
-    h_high = list(_covered_envelopes(region, pinned_high, p)[0].heights)
     pin_low = as_height_function(pinned_low)
     pin_high = as_height_function(pinned_high)
     if pin_low.domain != pin_high.domain:
         raise ValueError("coupled chains need a common pinned vertex set")
     if not pin_low.le(pin_high):
         raise ValueError("boundary data must be ordered low <= high")
-    free, nbrs, rows = _single_site_plan(region, pin_low, p)
-    if any(a > b for a, b in zip(h_low, h_high)):
-        raise AssertionError("minimal extensions not ordered")
-    plo = p.lo
-    t = 0
-    for positions, us in _site_draws(rng, free, steps) if free else ():
-        for i, u in zip(positions, us):
-            nb, row = nbrs[i], rows[i]
-            mn, p_up = _up_probability(h_low, nb, row, plo)
-            h_low[i] = mn + 1 if u < p_up else mn - 1
-            mn, p_up = _up_probability(h_high, nb, row, plo)
-            h_high[i] = mn + 1 if u < p_up else mn - 1
-            if h_low[i] > h_high[i]:
-                raise AssertionError(
-                    f"coupling lost the order at vertex "
-                    f"{region.vertex_list[i]}, step {t}"
-                )
-            t += 1
+    envelopes = [min_max_extensions(region, d) for d in (pin_low, pin_high)]
+    groups = [(rng, 1), (copy.deepcopy(rng), 1)]
+    eng = BoxGlauber(
+        region, pin_low, [p, p], rng, _envelopes=envelopes, _groups=groups
+    )
+    free = int((~eng.pinned_mask).sum())
+    sweeps = -(-steps // free) if free else 0
+    h = eng._h  # (storage rows, 2), written in place by every half-sweep
+    for t, _ in enumerate(eng._half_sweeps(sweeps)):
+        if (h[:, 0] > h[:, 1]).any():
+            low, high = eng.height_matrix()
+            v = region.vertex_list[int(np.argmax(low > high))]
+            raise AssertionError(
+                f"coupling lost the order at vertex {v}, half-sweep {t}"
+            )
+    low, high = eng.height_matrix().tolist()
     return (
-        HeightFunction(region.vertex_list, tuple(h_low)),
-        HeightFunction(region.vertex_list, tuple(h_high)),
+        HeightFunction(region.vertex_list, tuple(low)),
+        HeightFunction(region.vertex_list, tuple(high)),
     )
 
 
@@ -231,29 +191,42 @@ def exact_sample(
 def transition_matrix(mu: QuenchedMeasure) -> np.ndarray:
     """Single-site Glauber transition kernel on the support of ``mu``.
 
-    Row g: choose a free vertex uniformly, then resample it.  The kernel
-    is reversible for the quenched measure; tests verify stationarity
-    and detailed balance directly from this matrix.
+    Row g: choose a free vertex uniformly, then resample it by the heat
+    bath.  mn, mx and P(up) come for every member and free vertex at
+    once, as in ``BoxGlauber.half_sweep``.  Each move to another member
+    changes one vertex, so it is an off-diagonal entry of its own; the
+    weights of staying put add up on the diagonal in free-vertex order.
+    The kernel is reversible for the quenched measure; tests verify
+    stationarity and detailed balance directly from this matrix.
     """
     support = mu.support
-    free, nbrs, rows = _single_site_plan(
-        support.region, support.pinned, mu.potential
-    )
-    if not free:
+    region = support.region
+    pinned = np.zeros(len(region), dtype=bool)
+    pinned[[region.position(v) for v in support.pinned.domain]] = True
+    free = np.flatnonzero(~pinned)
+    if not free.size:
         return np.eye(len(support))
-    index = support._member_index
+    h = support.members_array
+    k, nb = _neighbor_slots(region, free)
+    nvs = h[:, nb]  # (members, free, kmax)
+    mn, mx = nvs.min(axis=2), nvs.max(axis=2)
+    tab = _flip_table(mu.potential.values, nb.shape[1])
+    choice = mx == mn
+    p_up = np.where(choice, tab[k, mn - mu.potential.lo], 1.0)
+    up = h[:, free] == mn + 1
+    w_up, w_down = p_up / free.size, (1.0 - p_up) / free.size
+    # members at a free choice move to their other candidate, found by
+    # binary search on whole rows viewed as one void key each
+    s, j = np.nonzero(choice)
+    to = h[s]
+    to[np.arange(s.size), free[j]] = np.where(up, mn - 1, mn + 1)[s, j]
+    row = np.dtype((np.void, h.itemsize * h.shape[1]))
+    keys = h.view(row)[:, 0]
+    order = np.argsort(keys)
+    t = order[np.searchsorted(keys[order], to.view(row)[:, 0])]
     P = np.zeros((len(support), len(support)))
-    plo = mu.potential.lo
-    for s, h in enumerate(support.members_array.tolist()):
-        for i in free:
-            z = h[i]
-            mn, p_up = _up_probability(h, nbrs[i], rows[i], plo)
-            h[i] = mn + 1
-            P[s, index[tuple(h)]] += p_up / len(free)
-            if p_up < 1.0:  # a free choice: the lower height is a member
-                h[i] = mn - 1
-                P[s, index[tuple(h)]] += (1.0 - p_up) / len(free)
-            h[i] = z
+    P[s, t] = np.where(up, w_down, w_up)[s, j]
+    np.fill_diagonal(P, np.cumsum(np.where(up, w_up, w_down), axis=1)[:, -1])
     return P
 
 
@@ -352,9 +325,13 @@ class BoxGlauber:
     ``(len(region),)``, ``low`` the coordinatewise minimum and both arrays
     follow ``region.vertex_list``.
 
-    ``_envelopes`` is for callers inside the package that already hold the
-    minimal and maximal extensions of ``pinned``; they are then not
-    computed again.
+    ``_envelopes``, for callers inside the package, holds one (minimal,
+    maximal) extension pair per group, all on ``pinned``'s vertex set
+    (without it every group takes the extensions of ``pinned``, computed
+    here).  Each group starts from, and is reach-checked against, its own
+    pair, and its pinned sites keep that pair's values, so groups may
+    run under different boundary data: ``coupled_run`` runs an ordered
+    pair this way.
     """
 
     def __init__(
@@ -365,7 +342,8 @@ class BoxGlauber:
         rng: np.random.Generator,
         start: str = "low",
         *,
-        _envelopes: tuple[HeightFunction, HeightFunction] | None = None,
+        _envelopes: Sequence[tuple[HeightFunction, HeightFunction]]
+        | None = None,
         _groups: Sequence[tuple[np.random.Generator, int]] | None = None,
     ):
         if not potentials:
@@ -381,9 +359,13 @@ class BoxGlauber:
         self._groups = _check_groups(_groups, len(potentials))
         if rng is not self._groups[0][0]:
             raise ValueError("rng must be the first group's generator")
-        lo_f, hi_f = _covered_envelopes(
-            region, pinned, potentials[0], _envelopes
-        )
+        if _envelopes is None:
+            _envelopes = [min_max_extensions(region, pinned)] * len(self._groups)
+        if len(_envelopes) != len(self._groups):
+            raise ValueError(
+                f"{len(_envelopes)} envelope pairs for "
+                f"{len(self._groups)} chain groups"
+            )
 
         coords = region._coords
         lows, highs = region._bounds()
@@ -400,16 +382,23 @@ class BoxGlauber:
         self.pinned_mask = pinned_flat.reshape(self.shape)
 
         parity = coords.sum(axis=1) % 2
-        low = np.asarray(lo_f.heights, dtype=np.int64)
-        high = np.asarray(hi_f.heights, dtype=np.int64)
-        if start == "low":
-            init = low
-        else:
-            # clip a flat parity-adjusted plane between the envelopes: the
-            # median of three height functions is again a height function,
-            # and this start sits near the equilibrium plateau
-            t = int(np.round((low + high).mean() / 2.0))
-            init = np.clip(t + (t + parity) % 2, low, high)
+        # per distinct envelope pair (groups may share one): its arrays
+        # and the start they give
+        starts = {}
+        for pair in _envelopes:
+            if id(pair) in starts:
+                continue
+            _check_window(potentials[0], *pair)
+            low, high = (np.asarray(f.heights, dtype=np.int64) for f in pair)
+            if start == "low":
+                init = low
+            else:
+                # clip a flat parity-adjusted plane between the envelopes:
+                # the median of three height functions is again a height
+                # function, and this start sits near the equilibrium plateau
+                t = int(np.round((low + high).mean() / 2.0))
+                init = np.clip(t + (t + parity) % 2, low, high)
+            starts[id(pair)] = (low, high, init)
 
         # sites-major storage: free sites of parity 0, of parity 1, pinned
         blocks = [
@@ -422,14 +411,12 @@ class BoxGlauber:
             t for t in (np.int8, np.int16, np.int32, np.int64)
             if np.iinfo(t).min <= win[0] - 2 and win[1] + 2 <= np.iinfo(t).max
         )
-        self._h = np.repeat(init[order].astype(dtype)[:, None], self.batch, 1)
+        inits = [starts[id(pair)][2][order].astype(dtype) for pair in _envelopes]
+        self._h = np.repeat(
+            np.stack(inits, axis=1), [c for _, c in self._groups], axis=1
+        )
 
-        # per free site: its in-region neighbours' rows, padded to the
-        # largest degree by repeating the first (min and max unchanged)
-        deg = region._degree
-        kmax = int(deg.max())
-        nbr = region._neighbors[:, :kmax]
-        cols = np.arange(kmax)
+        kmax = int(region._degree.max())
         # table (batch, k, z - lo), flattened; chain b at a site with k
         # in-region neighbours reads it at z + base[site, b]
         tab = _flip_table(np.stack([p.values for p in potentials]), kmax)
@@ -442,12 +429,11 @@ class BoxGlauber:
         for sites in blocks:
             self._blocks.append(slice(top, top + sites.size))
             top += sites.size
-            k = deg[sites, None]
-            nb = nbr[sites]
-            nb = np.where(cols < k, nb, nb[:, :1])
-            _check_table_reach(nb, low, high, win)
+            k, nb = _neighbor_slots(region, sites)
+            for low, high, _ in starts.values():
+                _check_table_reach(nb, low, high, win)
             self._slots.append(np.ascontiguousarray(self._slot[nb].T))
-            self._base.append(brow + (k * tab.shape[-1] - win[0]))
+            self._base.append(brow + (k[:, None] * tab.shape[-1] - win[0]))
         self._work: list[tuple[np.ndarray, ...]] | None = None
 
     def _work_arrays(self) -> list[tuple[np.ndarray, ...]]:
@@ -513,6 +499,14 @@ class BoxGlauber:
         out -= step
 
     def sweep(self, n: int = 1) -> None:
+        for _ in self._half_sweeps(n):
+            pass
+
+    def _half_sweeps(self, n: int):
+        """Run ``n`` sweeps, yielding after each half-sweep.
+
+        The work arrays are built once for all of them.
+        """
         try:
             n = operator.index(n)
         except TypeError:
@@ -524,8 +518,9 @@ class BoxGlauber:
         self._work = self._work_arrays()
         try:
             for _ in range(n):
-                self.half_sweep(0)
-                self.half_sweep(1)
+                for parity in (0, 1):
+                    self.half_sweep(parity)
+                    yield
         finally:
             self._work = None
 

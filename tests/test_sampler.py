@@ -27,6 +27,7 @@ from randomsurfaces.heights import (
     HeightFunction,
     enumerate_extensions,
     extremal_boundary,
+    kirszbraun_extendable,
     min_max_extensions,
     parity_height,
     validate,
@@ -91,12 +92,14 @@ class TestTransitionMatrix:
 
 
 class TestSingleSiteChain:
-    def test_negative_steps_rejected(self):
+    @pytest.mark.parametrize("steps", [-3, 2.5, 10.0, "10"])
+    def test_negative_steps_rejected(self, steps):
+        # negative or non-integer step counts, as BoxGlauber.sweep rejects
         lo, hi = required_window(BOX3, RING_PIN.shift(2))
         p = sample_potential(PotentialModel("uniform", 1.0, 1), (lo - 2, hi))
         with pytest.raises(ValueError, match="steps"):
             coupled_run(
-                BOX3, RING_PIN, RING_PIN.shift(2), p, -3,
+                BOX3, RING_PIN, RING_PIN.shift(2), p, steps,
                 np.random.default_rng(0),
             )
 
@@ -139,6 +142,41 @@ class TestCoupledRun:
             BOX3, RING_PIN, RING_PIN, p, 5_000, np.random.default_rng(4)
         )
         assert f_low == f_high
+
+    @pytest.mark.parametrize("kind", ["twopoint", "uniform"])
+    def test_order_on_random_regions(self, metric_instances, kind,
+                                     monkeypatch):
+        # each extendable datum against itself raised by 2 and against
+        # itself, read after every half-sweep apart from coupled_run's
+        # own check
+        seen = []
+        half = BoxGlauber.half_sweep
+
+        def recorded(eng, parity):
+            half(eng, parity)
+            seen.append(eng.height_matrix())
+
+        monkeypatch.setattr(BoxGlauber, "half_sweep", recorded)
+        runs = 0
+        for n, (region, pins, _) in enumerate(metric_instances):
+            if not kirszbraun_extendable(region, pins):
+                continue
+            high = {v: z + 2 for v, z in pins.items()}
+            (p,) = window_potentials(region, high, [(kind, 1.0, n, 0)], pad=2)
+            free = len(region) - len(pins)
+            for other in (high, pins):
+                seen.clear()
+                coupled_run(
+                    region, pins, other, p, 30 * free,
+                    np.random.default_rng(n),
+                )
+                assert len(seen) == (60 if free else 0)
+                for low_h, high_h in seen:
+                    assert np.all(low_h <= high_h)
+                    if other is pins:
+                        assert np.array_equal(low_h, high_h)
+            runs += 1
+        assert runs > 100
 
     def test_unordered_data_rejected(self):
         lo, hi = required_window(BOX3, RING_PIN.shift(2))
@@ -345,22 +383,6 @@ def free_positions(region, pinned):
     return [i for i in range(len(region)) if i not in pinned_pos]
 
 
-def reference_chains(region, free, starts, p, steps, rng):
-    """Single-site chains from ``starts`` with shared picks and uniforms.
-
-    The picks and then the uniforms are drawn in one shot each.
-    """
-    picks = rng.integers(len(free), size=steps)
-    us = rng.random(steps)
-    hs = [list(h) for h in starts]
-    for t in range(steps):
-        i = free[picks[t]]
-        for h in hs:
-            nv = [h[j] for j in region.neighbor_positions(i)]
-            h[i] = reference_update(nv, p, us[t])
-    return hs
-
-
 def reference_box_sweeps(region, pinned, start_rows, pots, sweeps, rng):
     """Checkerboard sweeps by energy sums, site by site, from ``start_rows``.
 
@@ -386,6 +408,21 @@ def reference_box_sweeps(region, pinned, start_rows, pots, sweeps, rng):
                     nv = [int(old[b, j]) for j in region.neighbor_positions(i)]
                     h[b, i] = reference_update(nv, p, u[b, s])
     return h
+
+
+def assert_coupled_run_is_two_runs(region, data, p, steps, seed, got, rng):
+    """``coupled_run``'s pair equals one reference run per datum, each from
+    its minimal extension on a fresh generator seeded ``seed``, for
+    ceil(steps / free sites) sweeps; ``rng`` ends as each reference did."""
+    sweeps = -(-steps // len(free_positions(region, data[0])))
+    for f, datum in zip(got, data):
+        start = min_max_extensions(region, datum)[0].heights
+        ref_rng = np.random.default_rng(seed)
+        (want,) = reference_box_sweeps(
+            region, datum, [start], [p], sweeps, ref_rng
+        )
+        assert list(f.heights) == want.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def window_potentials(region, pinned, specs, pad=0):
@@ -520,7 +557,7 @@ class TestClosedFormMatchesEnergySums:
         "region,pinned,steps",
         [
             (BOX3, CORNER_PIN, 500),
-            (BOX3, CORNER_PIN, 70_001),  # crosses chunk boundaries
+            (BOX3, CORNER_PIN, 70_001),  # not a multiple of the 7 free sites
             (BOX9, extremal_boundary(BOX9, 1, 0), 70_000),
             (BOX25, ring(BOX25), 33_000),
             (PATH5, {(0,): 0, (4,): 0}, 2_000),
@@ -532,15 +569,8 @@ class TestClosedFormMatchesEnergySums:
         (p,) = window_potentials(region, high, [("uniform", 1.5, 2, 0)], pad=2)
         rng = np.random.default_rng(8)
         got = coupled_run(region, pinned, high, p, steps, rng)
-        starts = [
-            min_max_extensions(region, d)[0].heights for d in (pinned, high)
-        ]
-        ref_rng = np.random.default_rng(8)
-        want = reference_chains(
-            region, free_positions(region, pinned), starts, p, steps, ref_rng
-        )
-        assert [list(f.heights) for f in got] == want
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_coupled_run_is_two_runs(region, (pinned, high), p, steps, 8,
+                                       got, rng)
 
     @pytest.mark.parametrize("steps", [3_000, 40_000])
     def test_coupled_run(self, steps):
@@ -549,16 +579,9 @@ class TestClosedFormMatchesEnergySums:
             BOX3, high_pin, [("twopoint", 1.0, 4, 0)], pad=2
         )
         rng = np.random.default_rng(5)
-        f_low, f_high = coupled_run(BOX3, RING_PIN, high_pin, p, steps, rng)
-        starts = [
-            min_max_extensions(BOX3, d)[0].heights for d in (RING_PIN, high_pin)
-        ]
-        ref_rng = np.random.default_rng(5)
-        want = reference_chains(
-            BOX3, free_positions(BOX3, RING_PIN), starts, p, steps, ref_rng
-        )
-        assert [list(f_low.heights), list(f_high.heights)] == want
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        got = coupled_run(BOX3, RING_PIN, high_pin, p, steps, rng)
+        assert_coupled_run_is_two_runs(BOX3, (RING_PIN, high_pin), p, steps, 5,
+                                       got, rng)
 
     @pytest.mark.parametrize(
         "region,pinned",
@@ -703,15 +726,16 @@ class TestExpitAgainstScalar:
         self.check(np.zeros((2, 0)))
 
 
-def test_coupled_run_memory_is_bounded_by_a_chunk():
-    # one-shot draws of 500k picks and uniforms would hold 8 MB of arrays
-    # alone, before their conversion to lists
-    high_pin = RING_PIN.shift(2)
-    (p,) = window_potentials(BOX3, high_pin, [("uniform", 1.0, 1, 0)], pad=2)
+def test_coupled_run_memory_is_bounded_by_a_sweep():
+    # 500k steps are about 950 sweeps of the 529 free sites; drawing every
+    # sweep's uniforms for both chains at once would hold about 8 MB
+    pinned = ring(BOX25)
+    high_pin = {v: z + 2 for v, z in pinned.items()}
+    (p,) = window_potentials(BOX25, high_pin, [("uniform", 1.0, 1, 0)], pad=2)
     tracemalloc.start()
     try:
         coupled_run(
-            BOX3, RING_PIN, high_pin, p, 500_000, np.random.default_rng(0)
+            BOX25, pinned, high_pin, p, 500_000, np.random.default_rng(0)
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -923,6 +947,23 @@ class TestTableReach:
         p = Potential(-2, 0, np.zeros(3))
         with pytest.raises(ValueError, match=r"reach \[-1, 1\]"):
             BoxGlauber(PATH5, pinned, [p], np.random.default_rng(0),
-                       _envelopes=(low, fake))
+                       _envelopes=[(low, fake)])
         BoxGlauber(PATH5, pinned, [Potential(-2, 1, np.zeros(4))],
-                   np.random.default_rng(0), _envelopes=(low, high))
+                   np.random.default_rng(0), _envelopes=[(low, high)])
+
+    def test_each_group_is_checked_against_its_own_envelopes(self):
+        # (low, low) fits the window [-2, 0]; the second group's pair is
+        # the one above whose reach leaves it
+        pinned = {(0,): 0, (4,): 0}
+        low, _ = min_max_extensions(PATH5, pinned)
+        fake = HeightFunction(PATH5.vertex_list, (0, 1, 0, 1, 0))
+        p = Potential(-2, 0, np.zeros(3))
+        rng = np.random.default_rng(0)
+        groups = [(rng, 1), (np.random.default_rng(0), 1)]
+        BoxGlauber(PATH5, pinned, [p], rng, _envelopes=[(low, low)])
+        with pytest.raises(ValueError, match=r"reach \[-1, 1\]"):
+            BoxGlauber(PATH5, pinned, [p, p], rng, _groups=groups,
+                       _envelopes=[(low, low), (low, fake)])
+        with pytest.raises(ValueError, match="2 chain groups"):
+            BoxGlauber(PATH5, pinned, [p, p], rng, _groups=groups,
+                       _envelopes=[(low, low)])

@@ -74,6 +74,9 @@ __all__ = [
 ]
 
 _FLOW_TOL = 1e-9
+_PAIR_CAP = 2_000_000  # lower x upper support pairs a flow test may hold
+_ORACLE_ATOM_CAP = 20  # distinct configurations the upper-set oracle takes
+_ORACLE_TOL = 1e-12  # mass gap the upper-set oracle counts as a violation
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,6 @@ def _transport_flow(
 def dominance_certificate(
     lower: QuenchedMeasure,
     upper: QuenchedMeasure,
-    pair_cap: int = 2_000_000,
 ) -> DominanceCertificate:
     """Strassen test: upper dominates lower iff the transport flow fills.
 
@@ -195,8 +197,8 @@ def dominance_certificate(
     if lower.region.vertex_list != upper.region.vertex_list:
         raise ValueError("measures live on different regions")
     p, q = len(lower), len(upper)
-    if p * q > pair_cap:
-        raise ValueError(f"support pair count {p * q} exceeds cap {pair_cap}")
+    if p * q > _PAIR_CAP:
+        raise ValueError(f"support pair count {p * q} exceeds cap {_PAIR_CAP}")
     if p == 0 or q == 0:
         raise ValueError("degenerate supports")
     compat = _compat_matrix(lower.support, upper.support)
@@ -229,8 +231,6 @@ def dominance_certificate(
 def dominates_by_upper_sets(
     lower: QuenchedMeasure,
     upper: QuenchedMeasure,
-    atom_cap: int = 20,
-    tol: float = 1e-12,
 ) -> tuple[bool, dict | None]:
     """Exhaustive dominance check over all upper sets of atoms.
 
@@ -243,8 +243,8 @@ def dominates_by_upper_sets(
     upper_rows = list(map(tuple, upper.support.members_array.tolist()))
     atoms = sorted(set(lower_rows) | set(upper_rows))
     n = len(atoms)
-    if n > atom_cap:
-        raise ValueError(f"{n} atoms exceed the oracle cap {atom_cap}")
+    if n > _ORACLE_ATOM_CAP:
+        raise ValueError(f"{n} atoms exceed the oracle cap {_ORACLE_ATOM_CAP}")
     arr = np.asarray(atoms, dtype=np.int64)
     leq = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
     up_bits = [
@@ -265,7 +265,7 @@ def dominates_by_upper_sets(
             continue  # not upward closed
         mm = float(mu_mass[members].sum())
         nm = float(nu_mass[members].sum())
-        if mm > nm + tol and (worst is None or mm - nm > worst["gap"]):
+        if mm > nm + _ORACLE_TOL and (worst is None or mm - nm > worst["gap"]):
             worst = {
                 "atoms": tuple(atoms[i] for i in members),
                 "lower_mass": mm,
@@ -589,6 +589,9 @@ def _check_sampling_knobs(
             raise ValueError(f"{key} must be finite and >= 0, got {value}")
 
 
+_SLACK_SIGMAS = 3.0  # binomial standard errors a sampled row may exceed by
+
+
 @dataclass(frozen=True)
 class ReportRow:
     n: int
@@ -598,17 +601,22 @@ class ReportRow:
     bound: float
     mean_stderr_max: float
 
-    def slack(self, sigmas: float = 3.0) -> float:
+    @property
+    def bounded(self) -> bool:
+        """Whether the envelope says anything: only such rows are judged."""
+        return self.bound < 1.0
+
+    def slack(self) -> float:
         """Binomial standard-error allowance on the observed frequency.
 
-        Zero when ``samples == 0`` (exact mode); otherwise ``sigmas``
-        standard errors with a 1/samples variance floor so that a zero
-        count still carries uncertainty.
+        Zero when ``samples == 0`` (exact mode); otherwise
+        ``_SLACK_SIGMAS`` standard errors with a 1/samples variance floor
+        so that a zero count still carries uncertainty.
         """
         if self.samples <= 0:
             return 0.0
         var = max(self.tail_freq * (1.0 - self.tail_freq), 1.0 / self.samples)
-        return sigmas * math.sqrt(var / self.samples)
+        return _SLACK_SIGMAS * math.sqrt(var / self.samples)
 
 
 @dataclass(frozen=True)
@@ -638,16 +646,12 @@ class ConcentrationReport:
             )
         return "\n".join(lines) + "\n"
 
-    def violations(self, sigmas: float = 3.0) -> list[ReportRow]:
-        """Rows with bound < 1 whose tail frequency clears the bound.
-
-        The slack is ``sigmas`` binomial standard errors of the observed
-        frequency (zero in exact mode, where samples == 0).
-        """
+    def violations(self) -> list[ReportRow]:
+        """Bounded rows whose tail frequency clears the bound plus slack."""
         return [
             r
             for r in self.rows
-            if r.bound < 1.0 and r.tail_freq > r.bound + r.slack(sigmas)
+            if r.bounded and r.tail_freq > r.bound + r.slack()
         ]
 
 
@@ -744,6 +748,11 @@ def _sampled_deviations(
 
 
 _MEAN_DRAW_OFFSET = 1_000_000  # keeps mean-field draws disjoint from tails
+_QUANTILES = (0.5, 0.9, 0.99, 1.0)  # of the max deviation, per size
+# Side of the largest box exact mode enumerates: the 7x7 parity ring has
+# 64,914 extensions (3.4 s, 225 MB), the 8x8 extremal ring 218,348
+# (32 s, 1.0 GB), and the 9x9 extremal ring's 10,850,216 exhaust memory.
+_EXACT_MAX_N = 7
 
 
 def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
@@ -754,63 +763,48 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
     environment/configuration samples and record how often the maximal
     absolute deviation reaches c sqrt(n), against
     2 |R| exp(-n c^2 / A).  Exact mode replaces sampling by full
-    enumeration (tiny boxes only).
+    enumeration, weighting each member by its annealed probability; it
+    takes boxes up to ``_EXACT_MAX_N`` on a side and rejects larger ones
+    before any work.
     """
+    if config.mode == "exact" and max(config.ns) > _EXACT_MAX_N:
+        raise ValueError(
+            f"exact mode enumerates every extension and takes n <= "
+            f"{_EXACT_MAX_N}, got n = {max(config.ns)}; use mode = mc"
+        )
     rows: list[ReportRow] = []
     summaries: list[SizeSummary] = []
-    qs = (0.5, 0.9, 0.99, 1.0)
     for n in config.ns:
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, config.boundary, config.direction)
         diam, max_l = _check_hypotheses(region, n, config.A)
         envelopes = min_max_extensions(region, pinned)
-        window = _envelope_window(*envelopes)
-
+        # each mode gives the max deviations and its tail rule at a threshold
         if config.mode == "exact":
             support = enumerate_extensions(region, pinned)
             probs = annealed_member_probabilities(support, config.model)
             vals = support.members_array.astype(float)
-            mean = probs @ vals
-            devs_by_member = np.abs(vals - mean).max(axis=1)
-            for c in config.c_values:
-                thr = c * math.sqrt(n)
-                tail = float(probs[devs_by_member >= thr].sum())
-                rows.append(
-                    ReportRow(
-                        n, c, 0, tail,
-                        concentration_bound(len(region), n, c, config.A),
-                        0.0,
-                    )
-                )
-            dev_q = tuple(
-                (q, float(np.quantile(devs_by_member, q))) for q in qs
+            devs = np.abs(vals - probs @ vals).max(axis=1)
+            tail = lambda thr: float(probs[devs >= thr].sum())
+            samples, stderr_max = 0, 0.0
+        else:
+            devs, stderr = _sampled_deviations(
+                region, pinned, envelopes, config, (config.seed, n)
             )
-            summaries.append(
-                SizeSummary(
-                    n, len(region), diam, max_l, window, 0, 0.0, dev_q,
-                )
+            tail = lambda thr: float((devs >= thr).mean())
+            samples, stderr_max = config.tail_samples, float(stderr.max())
+        rows += [
+            ReportRow(
+                n, c, samples, tail(c * math.sqrt(n)),
+                concentration_bound(len(region), n, c, config.A), stderr_max,
             )
-            continue
-
-        devs, stderr = _sampled_deviations(
-            region, pinned, envelopes, config, (config.seed, n)
-        )
-        stderr_max = float(stderr.max())
-        for c in config.c_values:
-            thr = c * math.sqrt(n)
-            tail = float((devs >= thr).mean())
-            rows.append(
-                ReportRow(
-                    n, c, config.tail_samples, tail,
-                    concentration_bound(len(region), n, c, config.A),
-                    stderr_max,
-                )
-            )
-        dev_q = tuple((q, float(np.quantile(devs, q))) for q in qs)
+            for c in config.c_values
+        ]
         summaries.append(
             SizeSummary(
-                n, len(region), diam, max_l, window,
-                config.tail_samples, stderr_max, dev_q,
+                n, len(region), diam, max_l, _envelope_window(*envelopes),
+                samples, stderr_max,
+                tuple((q, float(np.quantile(devs, q))) for q in _QUANTILES),
             )
         )
     return ConcentrationReport(tuple(rows), tuple(summaries), config)

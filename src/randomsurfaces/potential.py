@@ -204,14 +204,17 @@ def c_omega(p: Potential) -> float:
     return max(1.0, float(np.max(np.abs(p.values))))
 
 
+_ENUMERATION_CAP = 16  # widest window whose 2^W potentials are listed
+
+
 def enumerate_potentials(
-    model: PotentialModel, window: tuple[int, int], cap: int = 16
+    model: PotentialModel, window: tuple[int, int]
 ) -> list[tuple[Potential, float]]:
     """All potentials of a finite-support model with their probabilities.
 
     Supported for 'twopoint' (2^W outcomes, minus sign first at each
-    index) and 'zero' (a single outcome).  Windows wider than ``cap``
-    indices raise rather than enumerate.
+    index) and 'zero' (a single outcome).  Windows wider than
+    ``_ENUMERATION_CAP`` indices raise rather than enumerate.
     """
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
@@ -223,9 +226,9 @@ def enumerate_potentials(
         raise ValueError(
             f"model {model.kind!r} has no finite support to enumerate"
         )
-    if width > cap:
+    if width > _ENUMERATION_CAP:
         raise ValueError(
-            f"window width {width} exceeds enumeration cap {cap}"
+            f"window width {width} exceeds enumeration cap {_ENUMERATION_CAP}"
         )
     prob = 0.5**width
     out = []

@@ -969,7 +969,28 @@ class TestConcentrationExperiment:
 
     def test_hypotheses_guard(self):
         cfg = ExperimentConfig(
-            ns=(9,), model=PotentialModel("zero"), mode="exact", A=0.5
+            ns=(5,), model=PotentialModel("zero"), mode="exact", A=0.5
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="enlarge A"):
+            concentration_experiment(cfg)
+
+    @pytest.mark.parametrize("ns", [(8,), (3, 9), (25, 5)])
+    def test_exact_mode_size_limit_before_any_work(self, monkeypatch, ns):
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a box before checking the sizes")
+
+        monkeypatch.setattr(analysis, "make_box", no_work)
+        monkeypatch.setattr(analysis, "enumerate_extensions", no_work)
+        cfg = ExperimentConfig(ns=ns, model=PotentialModel("zero"), mode="exact")
+        with pytest.raises(ValueError, match=f"n <= 7, got n = {max(ns)}"):
+            concentration_experiment(cfg)
+
+    def test_exact_mode_takes_seven(self, monkeypatch):
+        # the largest size admitted goes on to enumerate
+        def stop(*args, **kwargs):
+            raise RuntimeError("enumerating")
+
+        monkeypatch.setattr(analysis, "enumerate_extensions", stop)
+        cfg = ExperimentConfig(ns=(7,), model=PotentialModel("zero"), mode="exact")
+        with pytest.raises(RuntimeError, match="enumerating"):
             concentration_experiment(cfg)

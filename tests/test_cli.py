@@ -323,6 +323,46 @@ class TestConcentration:
         assert "bad config value" in err and key in err
         assert out == "" and not out_file.exists()
 
+    def test_violating_row_exits_3(self, tmp_path, capsys):
+        # a two-chain mean field leaves the deviations far above the mean
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "ns = 9\nc_values = 1, 1.1, 1.25\nmodel = twopoint:a=1\n"
+            "mode = mc\nA = 1.8\nmean_draws = 2\nmean_samples_per_draw = 1\n"
+            "tail_samples = 200\nburn_factor = 0.5\n"
+        )
+        code, out, _ = run(
+            capsys, "concentration", "--config", str(cfg),
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 3
+        assert out.splitlines()[1:] == [
+            "PASS n=9 c=1.1: tail=0.22 bound=0.381974 slack=0.0878749",
+            "FAIL n=9 c=1.25: tail=0.22 bound=0.0655525 slack=0.0878749",
+        ]
+
+    def test_exact_mode_at_default_sizes_exits_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the default sizes 9, 15, 25 are far beyond enumeration
+        from randomsurfaces import analysis
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("enumerated before checking the sizes")
+
+        monkeypatch.setattr(analysis, "enumerate_extensions", no_work)
+        out_file = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "concentration", "--mode", "exact",
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert err == (
+            "error: exact mode enumerates every extension and takes "
+            "n <= 7, got n = 25; use mode = mc\n"
+        )
+        assert out == "" and not out_file.exists()
+
     def test_zero_samples_flag_exits_1(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "concentration", "--samples", "0",
@@ -485,6 +525,35 @@ class TestRecordedOutputs:
         )
         assert sha256(out.replace(str(out_file), "OUT").encode()) == (
             "ce3341d2956f993657f66c043c6c061da41e9a23dd0e6aa34f14cddd51a53326"
+        )
+
+    @pytest.mark.parametrize(
+        "config, csv_digest, stdout_digest",
+        [
+            (TestConcentration.CONFIG,
+             "f240b2f527d3047fecf591d421f55e7fa49c0deb94bc80785d12ff2674a7e8bf",
+             "7eb915af1d34954773490d4a53ae14473e8071672c92f21c3cbba3e9e35739d6"),
+            ("ns = 3, 5\nmodel = twopoint:a=1\nboundary = extremal\n"
+             "mode = exact\n",
+             "3f06b23b187c6b5102b096f34a02a0c9ab3020366bcfc5ad8bcd00931b17b407",
+             "16ea776baef8272d916f259d4c208733577e76866831887ed322269a06b5571d"),
+        ],
+    )
+    def test_exact_concentration(
+        self, tmp_path, capsys, config, csv_digest, stdout_digest
+    ):
+        # recorded before the exact and Monte Carlo rows shared one builder
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config)
+        out_file = tmp_path / "r.csv"
+        code, out, _ = run(
+            capsys, "concentration", "--config", str(cfg),
+            "--out", str(out_file),
+        )
+        assert code == 0
+        assert sha256(out_file.read_bytes()) == csv_digest
+        assert sha256(out.replace(str(out_file), "OUT").encode()) == (
+            stdout_digest
         )
 
     @pytest.mark.parametrize("n, sweeps", [(5, "3"), (100, "1")])

@@ -3,11 +3,12 @@
 A height configuration h on a vertex set is scored by the interior
 Hamiltonian H(h) = sum over induced edges {x, y} of omega_{min(h(x),
 h(y))}: an edge whose endpoint heights are z and z+1 contributes the
-potential value at height-axis edge {z, z+1}.  The quenched measure on
-an extension set weights members by exp H; annealed quantities average
-the quenched ones over the potential law.  All weight arithmetic is in
-log space, and every normaliser log Z = log sum exp H(g) comes from one
-numpy log-sum-exp (``_logsumexp``) that splits off the largest term.
+potential value at height-axis edge {z, z+1}, so H(h) = sum_z omega_z
+N_z(h) with N_z(h) the number of edges whose lower end is at level z;
+every H on an extension set is read off those counts.  The quenched
+measure weights members by exp H; annealed quantities average the
+quenched ones over the potential law.  All weight arithmetic is in log
+space; every log Z comes from one numpy log-sum-exp (``_logsumexp``).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "quenched_expectation",
     "annealed_expectation",
     "annealed_member_probabilities",
-    "edge_min_matrix",
     "required_window",
     "check_relative_complement_identity",
     "check_shift_identity",
@@ -119,19 +119,20 @@ def partition_function(
     return float(_logsumexp(energies))
 
 
-def edge_min_matrix(support: ExtensionSet) -> np.ndarray:
-    """(num members) x (num edges) matrix of per-edge height-axis indices."""
-    ea, eb = support.region.edge_arrays()
-    ma = support.members_array
-    return np.minimum(ma[:, ea], ma[:, eb])
-
-
-def _log_weights(mins: np.ndarray, p: Potential) -> np.ndarray:
-    """Each member's H: ``p`` summed along its row of an edge-min matrix.
-
-    A matrix with no edge columns gives every member H = 0.
-    """
-    return p.values_at(mins).sum(axis=1)
+def _hamiltonians(support: ExtensionSet, values, lo: int, edges=slice(None)):
+    """Each member's H: ``values`` (one potential, or a row per potential,
+    on levels lo, lo + 1, ...) times its counts of ``edges`` by the level
+    of their lower end.  A level outside the window raises IndexError."""
+    ea, eb = (e[edges] for e in support.region.edge_arrays())
+    mins = np.minimum(support.offsets[:, ea], support.offsets[:, eb])
+    k0, k1 = (int(mins.min()), int(mins.max())) if mins.size else (0, -1)
+    start, hi = support.base + k0 - lo, lo + values.shape[-1] - 1
+    if mins.size and (start < 0 or support.base + k1 > hi):
+        raise IndexError(f"indices outside potential window [{lo}, {hi}]")
+    counts = np.empty((k1 - k0 + 1, len(mins)))  # N_z, z = base + k0, ...
+    for k in range(k0, k1 + 1):
+        counts[k - k0] = (mins == k).sum(axis=1)
+    return values[..., start : start + len(counts)] @ counts
 
 
 def _active_edges(region: Region, pinned: Iterable[Vertex]) -> np.ndarray:
@@ -189,7 +190,7 @@ def quenched_measure(
         support = enumerate_extensions(region, pinned)
     if len(support) == 0:
         raise NoExtensionError(*kirszbraun_violation(region, pinned))
-    lw = _log_weights(edge_min_matrix(support), p)
+    lw = _hamiltonians(support, p.values, p.lo)
     return QuenchedMeasure(support, p, lw, float(_logsumexp(lw)))
 
 
@@ -229,35 +230,31 @@ def _annealed_weights_by_potential(
     mode: str,
     samples: int,
     first_draw: int,
-) -> tuple[np.ndarray, np.ndarray, list[Potential]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Member probabilities under each potential, with potential weights.
 
-    Returns (prob_matrix, pot_weights, potentials): prob_matrix[i, j] is
-    the quenched probability of member j under potential i.
+    Returns (prob_matrix, pot_weights): prob_matrix[i, j] is the quenched
+    probability of member j under potential i.
     """
-    region = support.region
-    lo, hi = required_window(region, support.pinned)
-    mins = edge_min_matrix(support)
+    lo, hi = required_window(support.region, support.pinned)
     if mode == "exact":
         pots = enumerate_potentials(model, (lo, hi))
-        potentials = [p for p, _ in pots]
+        values = np.stack([p.values for p, _ in pots])
         weights = np.asarray([w for _, w in pots])
     elif mode == "mc":
         if samples < 1:
             raise ValueError("monte carlo mode needs samples >= 1")
-        potentials = [
-            sample_potential(model, (lo, hi), draw=first_draw + i)
+        values = np.stack([
+            sample_potential(model, (lo, hi), draw=first_draw + i).values
             for i in range(samples)
-        ]
+        ])
         weights = np.full(samples, 1.0 / samples)
     else:
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    probs = np.empty((len(potentials), len(support)))
-    for i, p in enumerate(potentials):
-        probs[i] = _log_weights(mins, p)
+    probs = _hamiltonians(support, values, lo)
     probs -= _logsumexp(probs, axis=1)[:, None]
     np.exp(probs, out=probs)
-    return probs, weights, potentials
+    return probs, weights
 
 
 @dataclass(frozen=True)
@@ -289,7 +286,7 @@ def annealed_expectation(
     if len(support) == 0:
         raise NoExtensionError(*kirszbraun_violation(region, pinned))
     fvals = np.asarray([f(g) for g in support], dtype=np.float64)
-    probs, weights, _ = _annealed_weights_by_potential(
+    probs, weights = _annealed_weights_by_potential(
         support, model, mode, samples, first_draw
     )
     per_potential = probs @ fvals
@@ -316,7 +313,7 @@ def annealed_member_probabilities(
     key = (model, mode, samples, first_draw)
     law = support._annealed_laws.get(key)
     if law is None:
-        probs, weights, _ = _annealed_weights_by_potential(
+        probs, weights = _annealed_weights_by_potential(
             support, model, mode, samples, first_draw
         )
         law = support._annealed_laws[key] = weights @ probs
@@ -345,7 +342,7 @@ def check_relative_complement_identity(
     if set(support.pinned.domain) != {tuple(v) for v in sub}:
         raise ValueError("sub must be the pinned vertex set")
     touch = _active_edges(region, support.pinned.domain)
-    lw = _log_weights(edge_min_matrix(support)[:, touch], p)
+    lw = _hamiltonians(support, p.values, p.lo, touch)
     local_probs = np.exp(lw - _logsumexp(lw))
     return float(
         np.max(np.abs(mu.probabilities - local_probs) / mu.probabilities)

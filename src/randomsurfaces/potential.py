@@ -207,6 +207,14 @@ def c_omega(p: Potential) -> float:
 _ENUMERATION_CAP = 16  # widest window whose 2^W potentials are listed
 
 
+def _check_finite_support(model: PotentialModel) -> None:
+    """Reject a model whose potentials cannot all be listed ('uniform')."""
+    if model.kind not in ("zero", "twopoint"):
+        raise ValueError(
+            f"model {model.kind!r} has no finite support to enumerate"
+        )
+
+
 def enumerate_potentials(
     model: PotentialModel, window: tuple[int, int]
 ) -> list[tuple[Potential, float]]:
@@ -222,10 +230,7 @@ def enumerate_potentials(
     width = hi - lo + 1
     if model.kind == "zero":
         return [(Potential(lo, hi, np.zeros(width)), 1.0)]
-    if model.kind != "twopoint":
-        raise ValueError(
-            f"model {model.kind!r} has no finite support to enumerate"
-        )
+    _check_finite_support(model)
     if width > _ENUMERATION_CAP:
         raise ValueError(
             f"window width {width} exceeds enumeration cap {_ENUMERATION_CAP}"

@@ -363,6 +363,32 @@ class TestConcentration:
         )
         assert out == "" and not out_file.exists()
 
+    def test_exact_mode_rejects_a_model_of_infinite_support_first(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 'uniform' has no finite list of potentials to anneal over
+        from randomsurfaces import analysis
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a box before checking the model")
+
+        monkeypatch.setattr(analysis, "enumerate_extensions", no_work)
+        monkeypatch.setattr(analysis, "make_box", no_work)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "ns = 7\nboundary = parity\nmodel = uniform:b=1\nmode = exact\n"
+        )
+        out_file = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "concentration", "--config", str(cfg),
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert err == (
+            "error: model 'uniform' has no finite support to enumerate\n"
+        )
+        assert out == "" and not out_file.exists()
+
     def test_zero_samples_flag_exits_1(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "concentration", "--samples", "0",
@@ -537,12 +563,16 @@ class TestRecordedOutputs:
              "mode = exact\n",
              "3f06b23b187c6b5102b096f34a02a0c9ab3020366bcfc5ad8bcd00931b17b407",
              "16ea776baef8272d916f259d4c208733577e76866831887ed322269a06b5571d"),
+            ("ns = 7\nboundary = parity\nmodel = twopoint:a=1\nmode = exact\n",
+             "665d586112a5c6bca8cfb80e34d15cd807314f45f6f70a6f2c1122e9512ca020",
+             "f83719d801ba17e54c11fb8351b79dcd8281969bfc76bd65dddd9b0f62f4f20f"),
         ],
     )
     def test_exact_concentration(
         self, tmp_path, capsys, config, csv_digest, stdout_digest
     ):
-        # recorded before the exact and Monte Carlo rows shared one builder
+        # recorded before the exact and Monte Carlo rows shared one builder;
+        # the 7x7 parity ring before H was read off per-level edge counts
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(config)
         out_file = tmp_path / "r.csv"

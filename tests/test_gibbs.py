@@ -30,7 +30,6 @@ from randomsurfaces.gibbs import (
     annealed_member_probabilities,
     check_relative_complement_identity,
     check_shift_identity,
-    edge_min_matrix,
     hamiltonian_interior,
     hamiltonian_plus,
     identity_check_suite,
@@ -239,11 +238,27 @@ class TestQuenchedMeasure:
             quenched_measure(BOX3, {(0, 1): 1, (2, 1): 5}, W01)
         assert err.value.gap == 4
 
-    def test_edge_min_matrix_shape(self):
+    def test_level_counts_on_the_path(self):
+        # unit potentials on levels -1, 0 read off each member's counts:
+        # (0, -1, 0) has both edges at level -1, (0, 1, 0) both at 0
         support = enumerate_extensions(PATH3, PIN3)
-        mins = edge_min_matrix(support)
-        assert mins.shape == (2, 2)
-        assert sorted(mins.sum(axis=1).tolist()) == [-2, 0]
+        counts = gibbs._hamiltonians(support, np.eye(2), -1)
+        assert counts.tolist() == [[2.0, 0.0], [0.0, 2.0]]
+        first = np.array([True, False])  # the edge {(0,), (1,)} alone
+        counts = gibbs._hamiltonians(support, np.eye(2), -1, first)
+        assert counts.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("window", [(-1, 1), (-2, 0)], ids=["low", "high"])
+    def test_window_missing_a_felt_level_raises(self, window):
+        # edges feel levels -2..1; a window short on either side raises
+        # rather than reading a wrapped or missing value
+        pin = {(0,): 0, (4,): 0}
+        assert required_window(PATH5, pin) == (-2, 1)
+        p = Potential(*window, np.ones(3))
+        with pytest.raises(IndexError, match="outside potential window"):
+            quenched_measure(PATH5, pin, p)
+        with pytest.raises(IndexError, match="outside potential window"):
+            check_relative_complement_identity(PATH5, pin, pin, p)
 
 
 class TestRequiredWindow:
@@ -321,25 +336,50 @@ class TestAnnealed:
             )
 
 
-def uncached_annealed_law(support, model, mode="exact", samples=0, first_draw=0):
-    """The annealed member law as computed before it was kept per support:
-    one quenched law per potential, normalised row by row, then averaged."""
+def edge_min_matrix(support):
+    """(members) x (edges) matrix of the level each edge feels: the per-edge
+    reference for the library's per-level counts."""
+    ea, eb = support.region.edge_arrays()
+    ma = support.members_array
+    return np.minimum(ma[:, ea], ma[:, eb])
+
+
+def annealing_potentials(support, model, mode="exact", samples=0, first_draw=0):
+    """The potentials an annealed law averages over, with their weights."""
     lo, hi = required_window(support.region, support.pinned)
-    mins = edge_min_matrix(support)
     if mode == "exact":
         pots = enumerate_potentials(model, (lo, hi))
-        potentials = [p for p, _ in pots]
-        weights = np.asarray([w for _, w in pots])
-    else:
-        potentials = [
-            sample_potential(model, (lo, hi), draw=first_draw + i)
-            for i in range(samples)
-        ]
-        weights = np.full(samples, 1.0 / samples)
+        return [p for p, _ in pots], np.asarray([w for _, w in pots])
+    potentials = [
+        sample_potential(model, (lo, hi), draw=first_draw + i)
+        for i in range(samples)
+    ]
+    return potentials, np.full(samples, 1.0 / samples)
+
+
+def uncached_annealed_law(support, model, mode="exact", samples=0, first_draw=0):
+    """The annealed member law computed afresh: every potential's H from
+    the per-level edge counts in one product, each row normalised, then
+    averaged."""
+    potentials, weights = annealing_potentials(
+        support, model, mode, samples, first_draw
+    )
+    values = np.stack([p.values for p in potentials])
+    lw = gibbs._hamiltonians(support, values, potentials[0].lo)
+    return weights @ np.exp(lw - gibbs._logsumexp(lw, axis=1)[:, None])
+
+
+def per_edge_annealed_law(support, model, mode="exact", samples=0, first_draw=0):
+    """The annealed member law by the per-edge sum: each member's H is its
+    potential values summed edge by edge, one potential at a time."""
+    potentials, weights = annealing_potentials(
+        support, model, mode, samples, first_draw
+    )
+    mins = edge_min_matrix(support)
     probs = np.empty((len(potentials), len(support)))
     for i, p in enumerate(potentials):
         lw = p.values_at(mins).sum(axis=1)
-        probs[i] = np.exp(lw - logsumexp(lw))
+        probs[i] = np.exp(lw - gibbs._logsumexp(lw))
     return weights @ probs
 
 
@@ -357,6 +397,51 @@ def uncached_levels(support, probs, walk):
             mass_sum[1] += pr * tv
         levels.append({key: (m, w / m) for key, (m, w) in acc.items()})
     return tuple(levels)
+
+
+class TestCountsAgainstTheEdgeSum:
+    """The per-level counts against the per-edge sum on the 6x6 parity
+    ring: with dyadic potential values every partial sum is exact, so the
+    two routes agree bit for bit; otherwise only summation order differs."""
+
+    BOX6 = make_box((0, 0), (5, 5))
+    RING6 = parity_height(BOX6).restrict(boundary(BOX6))
+
+    @pytest.mark.parametrize("a", [1.0, 0.5])
+    def test_dyadic_twopoint_is_bit_identical(self, a):
+        support = enumerate_extensions(self.BOX6, self.RING6)
+        model = PotentialModel("twopoint", a, 0)
+        mins = edge_min_matrix(support)
+        for p in annealing_potentials(support, model)[0]:
+            mu = quenched_measure(self.BOX6, self.RING6, p, support)
+            assert np.array_equal(mu.log_weights, p.values_at(mins).sum(axis=1))
+        assert np.array_equal(
+            annealed_member_probabilities(support, model),
+            per_edge_annealed_law(support, model),
+        )
+
+    @pytest.mark.parametrize(
+        "model, mode, samples",
+        [
+            (PotentialModel("twopoint", 0.7, 3), "exact", 0),
+            (PotentialModel("uniform", 1.0, 3), "mc", 16),
+        ],
+    )
+    def test_other_values_agree_to_1e_12(self, model, mode, samples):
+        support = enumerate_extensions(self.BOX6, self.RING6)
+        mins = edge_min_matrix(support)
+        potentials, _ = annealing_potentials(support, model, mode, samples)
+        for p in potentials:
+            mu = quenched_measure(self.BOX6, self.RING6, p, support)
+            np.testing.assert_allclose(
+                mu.log_weights, p.values_at(mins).sum(axis=1),
+                rtol=1e-12, atol=1e-12,
+            )
+        np.testing.assert_allclose(
+            annealed_member_probabilities(support, model, mode, samples),
+            per_edge_annealed_law(support, model, mode, samples),
+            rtol=1e-12,
+        )
 
 
 class TestAnnealedLawKeptPerSupport:

@@ -25,7 +25,6 @@ from .lattice import (
     _INT64_MIN,
     Region,
     Vertex,
-    _bfs,
     _check_vertex,
     induced_edges,
     multi_source_distances,
@@ -219,14 +218,19 @@ def _is_height_function_at(
     order.  Each height must have the parity of its vertex's coordinate
     sum, and the heights at the two ends of every region edge with both
     ends in ``vals`` must differ by exactly 1.  The edges are read from
-    the neighbour tuples of ``at``, so the work is O(len(vals)).
+    the neighbour rows of ``at``, so the work is O(len(vals)): from the
+    neighbour tuples once the region has built them, else from those rows
+    of the padded neighbour matrix (its padding -1 is no position).
     """
     if any((h - sum(v)) & 1 for v, h in vals.items()):
         return False
     height = dict(zip(at, vals.values()))
-    nbrs = region._neighbor_positions
-    for i, h in height.items():
-        for j in nbrs[i]:
+    if region._neighbor_rows is None:
+        rows = region._neighbors[at].tolist()
+    else:
+        rows = map(region._neighbor_rows.__getitem__, at)
+    for h, row in zip(height.values(), rows):
+        for j in row:
             g = height.get(j)
             if g is not None and abs(g - h) != 1:
                 return False
@@ -275,11 +279,19 @@ def _envelopes(
     """Pointwise greatest lower / least upper height bounds from pinned data.
 
     low(v) = max_x (h(x) - d_R(x, v)),  high(v) = min_x (h(x) + d_R(x, v)).
-    One offset BFS each: high with the pinned values as offsets, low with
-    their negatives, negated back.
+    One ``multi_source_distances`` pass each (the l1 closed form on a
+    large box, an offset BFS elsewhere): high with the pinned values as
+    offsets, low with their negatives, negated back.  Pinned values that
+    put either envelope outside int64 raise ValueError.
     """
-    high = multi_source_distances(region, vals)
-    low = -multi_source_distances(region, {v: -z for v, z in vals.items()})
+    try:
+        high = multi_source_distances(region, vals)
+        low = -multi_source_distances(region, {v: -z for v, z in vals.items()})
+    except OverflowError:
+        raise ValueError(
+            "pinned values put the height envelopes outside the int64 range "
+            f"[{_INT64_MIN}, {_INT64_MAX}]"
+        ) from None
     return low, high
 
 
@@ -291,7 +303,8 @@ def _first_violation(
     A pinned x belongs to some violating pair exactly when its own value
     leaves its envelopes: high(x) < h(x) when some y lies more than
     d_R(x, y) below it, low(x) > h(x) when some y lies above.  So x is
-    read off the envelopes, and one single-source BFS from x names y.
+    read off the envelopes, and the single-source distances from x (from
+    ``multi_source_distances``, so the closed form on a large box) name y.
     """
     vs = sorted(vals)
     at = list(map(region._position.__getitem__, vs))
@@ -299,7 +312,7 @@ def _first_violation(
     pos, z = np.array(at, dtype=np.intp), np.array(zs, dtype=np.int64)
     outside = np.flatnonzero((high[pos] < z) | (low[pos] > z))
     for k in outside.tolist():
-        dist, _ = _bfs(region._neighbor_positions, [(0, at[k])])
+        dist = multi_source_distances(region, {vs[k]: 0}).tolist()
         for y, j, zy in zip(vs, at, zs):
             gap = abs(zs[k] - zy)
             if gap > dist[j]:
@@ -313,9 +326,10 @@ def kirszbraun_violation(
     """First pinned pair with |h(x)-h(y)| > d_R(x,y), or None if extendable.
 
     The pair returned is the first in sorted (x, y) order, the one a scan
-    of all pinned pairs would stop at.  Cost O(|R|): two offset BFS passes
-    for the envelopes, plus one single-source BFS from x when the data is
-    not extendable.
+    of all pinned pairs would stop at.  Cost O(|R|): two
+    ``multi_source_distances`` passes for the envelopes (the l1 closed
+    form on a large box, an offset BFS elsewhere), plus one single-source
+    pass from x when the data is not extendable.
     """
     vals = _pinned_map(region, pinned)
     return _first_violation(region, vals, *_envelopes(region, vals))

@@ -10,16 +10,21 @@ A Region is array-backed: its vertices are one (n, m) int64 coordinate
 array in lexicographic order, its adjacency a padded (n, 2m) neighbour
 matrix with a degree array, and its edges two endpoint arrays.  They
 are built in numpy (sorts and coordinate comparisons, no per-vertex
-Python work).  The tuple views (``vertex_list``, positions, neighbour
-tuples) are made once; ``vertex_set`` and ``edge_positions`` are made
-on first use only.
+Python work).  The vertex tuples (``vertex_list``, positions) are made
+once; ``vertex_set``, ``edge_positions`` and the neighbour tuples are
+made on first use only.
 
-One offset breadth-first search with parent pointers (``_bfs``) serves
-every traversal of the package: the connectivity check, single- and
-multi-source distances (and through them the height envelopes), and the
-boundary-to-interior walks of ``analysis``.  The connectivity check
-runs the search only when a region does not fill its bounding box: a
-set that fills its box is connected.
+Distances take one of two paths.  On a box the graph metric is the l1
+distance, so on a box of at least ``_CLOSED_FORM_MIN`` vertices
+``multi_source_distances`` is a min-plus distance transform: one forward
+and one backward running minimum per axis over the grid, in int64 (no
+search and no neighbour tuples).  Every other region, and smaller boxes,
+where the fixed numpy cost outweighs the search, run one offset
+breadth-first search with parent pointers (``_bfs``).  The search also
+serves the connectivity check, ``distance_map`` and ``graph_distance``,
+and the boundary-to-interior walks of ``analysis``.  The connectivity
+check runs it only when a region does not fill its bounding box: a set
+that fills its box is connected.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ __all__ = [
 ]
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+# Boxes of at least this many vertices take their distances from the
+# closed form; below it the search is faster (see ``_box_distances``).
+_CLOSED_FORM_MIN = 400
 
 def _check_vertex(v, m: int | None) -> Vertex:
     t = tuple(v)
@@ -118,16 +127,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _graph(coords: np.ndarray):
-    """Sorted vertices, neighbour tuples and the Region arrays.
+    """Sorted vertices and the Region arrays.
 
-    Returns the sorted distinct vertices and each one's neighbour
-    positions as tuples, then the arrays that ``Region`` keeps (see
-    there): coordinates, neighbour matrix, degrees and the two edge
-    endpoint arrays, and last the coordinatewise minimum and maximum as
-    tuples of Python ints.  The numpy work runs on the transposed (m, n)
-    coordinates, so every comparison reads whole rows; the tuple views
-    are built with ``zip`` over columns, without per-vertex lists or
-    numpy scalars.
+    Returns the sorted distinct vertices as tuples, then the arrays that
+    ``Region`` keeps (see there): coordinates, neighbour matrix, degrees
+    and the two edge endpoint arrays, and last the coordinatewise minimum
+    and maximum as tuples of Python ints.  The numpy work runs on the
+    transposed (m, n) coordinates, so every comparison reads whole rows;
+    the vertex tuples are built with ``zip`` over columns, without
+    per-vertex lists or numpy scalars.
     """
     n, m = coords.shape
     # lexicographic order and deduplication: one sort, then drop
@@ -166,15 +174,8 @@ def _graph(coords: np.ndarray):
     nbr.sort(axis=1)
     nbr[nbr == n] = -1
     ea, col = np.nonzero(nbr > np.arange(n)[:, None])
-
-    # one tuple per row, then the rows with padding cut to their degree
-    rows = list(zip(*nbr.T.tolist()))
-    short = np.flatnonzero(degree < 2 * m)
-    for i, k in zip(short.tolist(), degree[short].tolist()):
-        rows[i] = rows[i][:k]
     return (
         tuple(zip(*ct.tolist())),
-        tuple(rows),
         np.ascontiguousarray(ct.T),
         nbr,
         degree,
@@ -182,6 +183,17 @@ def _graph(coords: np.ndarray):
         nbr[ea, col],
         (tuple(ct.min(axis=1).tolist()), tuple(ct.max(axis=1).tolist())),
     )
+
+
+def _neighbor_tuples(
+    nbr: np.ndarray, degree: np.ndarray
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of a padded neighbour matrix as tuples cut to their degree."""
+    rows = list(zip(*nbr.T.tolist()))
+    short = np.flatnonzero(degree < nbr.shape[1])
+    for i, k in zip(short.tolist(), degree[short].tolist()):
+        rows[i] = rows[i][:k]
+    return tuple(rows)
 
 
 class Region:
@@ -203,9 +215,12 @@ class Region:
     * ``_corners``: the coordinatewise minimum and maximum, as tuples of
       Python ints (``_bounds``).
 
-    The arrays are read-only.  ``vertex_list``, ``position`` and
-    ``neighbor_positions`` are tuple views built on construction;
-    ``vertex_set`` and ``edge_positions`` are built on first use.
+    The arrays are read-only.  ``vertex_list`` and ``position`` are
+    built on construction; ``vertex_set``, ``edge_positions`` and the
+    neighbour tuples (``_neighbor_positions``, read by
+    ``neighbor_positions`` and by the breadth-first search) are built on
+    first use, so a large box whose distances come from the closed form
+    never makes them.
     """
 
     __slots__ = (
@@ -213,7 +228,7 @@ class Region:
         "vertex_list",
         "_vertex_set",
         "_position",
-        "_neighbor_positions",
+        "_neighbor_rows",
         "_edge_positions",
         "_coords",
         "_neighbors",
@@ -226,13 +241,13 @@ class Region:
         coords = _coordinate_array(vertices)
         if not len(coords):
             raise ValueError("region must be nonempty")
-        vs, rows, coords, nbr, degree, ea, eb, bounds = _graph(coords)
+        vs, coords, nbr, degree, ea, eb, bounds = _graph(coords)
         set_ = object.__setattr__
         set_(self, "dimension", coords.shape[1])
         set_(self, "vertex_list", vs)
         set_(self, "_vertex_set", None)
         set_(self, "_position", dict(zip(vs, range(len(vs)))))
-        set_(self, "_neighbor_positions", rows)
+        set_(self, "_neighbor_rows", None)
         set_(self, "_edge_positions", None)
         set_(self, "_coords", _read_only(coords))
         set_(self, "_neighbors", _read_only(nbr))
@@ -292,6 +307,14 @@ class Region:
     def position(self, v: Vertex) -> int:
         """Index of ``v`` in ``vertex_list``; raises KeyError if absent."""
         return self._position[tuple(v)]
+
+    @property
+    def _neighbor_positions(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbour positions as a tuple, built on first use."""
+        if self._neighbor_rows is None:
+            rows = _neighbor_tuples(self._neighbors, self._degree)
+            object.__setattr__(self, "_neighbor_rows", rows)
+        return self._neighbor_rows
 
     def neighbor_positions(self, i: int) -> tuple[int, ...]:
         return self._neighbor_positions[i]
@@ -408,14 +431,68 @@ def multi_source_distances(
     """min over sources s of (offsets[s] + d_R(s, v)), for every vertex v.
 
     ``offsets`` maps each source vertex to an integer offset; the result
-    is an int64 array aligned with ``region.vertex_list``, from one
-    ``_bfs`` pass: O(|R|) plus sorting the sources.
+    is an int64 array aligned with ``region.vertex_list``.  A box of at
+    least ``_CLOSED_FORM_MIN`` vertices gets it from the l1 closed form
+    (``_box_distances``), any other region from one ``_bfs`` pass: both
+    O(|R|) plus the sources.  A result outside int64 raises
+    OverflowError on either path.
     """
     if not offsets:
         raise ValueError("need at least one source")
-    sources = sorted((int(z), region.position(v)) for v, z in offsets.items())
-    dist, _ = _bfs(region._neighbor_positions, sources)
+    sources = [(int(z), region.position(v)) for v, z in offsets.items()]
+    if len(region) >= _CLOSED_FORM_MIN and region.is_box():
+        return _box_distances(region, sources)
+    dist, _ = _bfs(region._neighbor_positions, sorted(sources))
     return np.asarray(dist, dtype=np.int64)
+
+
+def _box_distances(
+    region: Region, sources: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """min over (offset, position) sources of offset + |v - s|_1, on a box.
+
+    On a box the graph metric is the l1 distance, which separates by
+    axis, so the minimum is a min-plus distance transform (Rosenfeld and
+    Pfaltz 1966): along each axis in turn, g(i) <- min_j (g(j) + |i - j|),
+    a forward running minimum of g(j) - j plus i and a backward one of
+    g(j) + j minus i.  ``vertex_list`` is the grid's C order, so the
+    result is the grid raveled.  The work is in offsets above the least
+    one, capped at the l1 diameter plus 1 (such a source never wins), so
+    every intermediate value is small; the least offset is added back
+    last, after a check that the sum stays in int64.  Below a few hundred
+    vertices the fixed cost of these numpy calls exceeds ``_bfs``'s, hence
+    ``_CLOSED_FORM_MIN``.  Timed from the boundary ring on a 2-core x86
+    VM: 5x5 40 us against 8 us for ``_bfs``, 20x20 65 against 81,
+    25x25 78 against 123, 100x100 0.34 against 1.97 ms; the two break
+    even near 300 vertices in 2D and 450 in 3D.
+    """
+    zs, at = zip(*sources)
+    least = min(zs)
+    cap = region.l1_diameter() + 1
+    rel = np.array([min(z - least, cap) for z in zs], dtype=np.int64)
+    grid = np.full(len(region), cap, dtype=np.int64)
+    np.minimum.at(grid, np.array(at, dtype=np.intp), rel)
+    lows, highs = region._bounds()
+    grid = grid.reshape([b - a + 1 for a, b in zip(lows, highs)])
+    for axis, side in enumerate(grid.shape):
+        if side == 1:
+            continue
+        ramp = np.arange(side, dtype=np.int64).reshape(
+            (side,) + (1,) * (grid.ndim - 1 - axis)
+        )
+        fwd = np.minimum.accumulate(grid - ramp, axis=axis)
+        fwd += ramp
+        bwd = np.flip(grid + ramp, axis)
+        bwd = np.flip(np.minimum.accumulate(bwd, axis=axis), axis) - ramp
+        grid = np.minimum(fwd, bwd, out=fwd)
+    out = grid.ravel()
+    if not _INT64_MIN <= least <= _INT64_MAX - int(out.max()):
+        raise OverflowError(
+            f"distances from offset {least} leave the int64 range "
+            f"[{_INT64_MIN}, {_INT64_MAX}]"
+        )
+    out += least
+    return out
 
 
 def graph_distance(region: Region, x: Vertex, y: Vertex) -> int:

@@ -642,6 +642,38 @@ class TestMetricLayerCost:
         assert gap == abs(bad[x] - bad[y])
         assert dist == abs(x[0] - y[0]) + abs(x[1] - y[1]) < gap
 
+    def test_no_search_and_no_neighbour_tuples_on_the_100_box(self, monkeypatch):
+        # the box's distances come from the l1 closed form: neither the
+        # breadth-first search nor the neighbour tuples it reads are made
+        made = []
+        bfs, tuples = lattice._bfs, lattice._neighbor_tuples
+
+        def counting_bfs(nbrs, sources):
+            made.append("bfs")
+            return bfs(nbrs, sources)
+
+        def counting_tuples(nbr, degree):
+            made.append("tuples")
+            return tuples(nbr, degree)
+
+        monkeypatch.setattr(lattice, "_bfs", counting_bfs)
+        monkeypatch.setattr(lattice, "_neighbor_tuples", counting_tuples)
+        box = make_box((0, 0), (99, 99))
+        ring = extremal_boundary(box, 1, 0)
+        low, high = min_max_extensions(box, ring)
+        assert low.le(high)
+        assert kirszbraun_violation(box, ring) is None
+        bad = ring.as_dict()
+        bad[(50, 37)] = high[(50, 37)] + 2
+        x, y, gap, dist = kirszbraun_violation(box, bad)
+        assert (50, 37) in (x, y) and dist < gap
+        assert _max_walk_length(box) == 50
+        assert made == [] and box._neighbor_rows is None
+        # a first read of the tuples builds them, once
+        assert box.neighbor_positions(0) == (1, 100)
+        assert box.neighbor_positions(101) == (1, 100, 102, 201)
+        assert made == ["tuples"]
+
 
 class TestTailBounds:
     def test_azuma_bound_values(self):

@@ -201,8 +201,9 @@ class TestParity:
 
 class TestPinnedValidation:
     """Pinned data and ``validate`` are checked on the region's neighbour
-    tuples; the public ``is_parity_homomorphism`` on the induced adjacency
-    is the oracle."""
+    tuples, or on its neighbour matrix before the tuples are built; the
+    public ``is_parity_homomorphism`` on the induced adjacency is the
+    oracle."""
 
     def test_matches_the_oracle_on_random_pins(self, metric_instances):
         rng = np.random.default_rng(31)
@@ -217,15 +218,19 @@ class TestPinnedValidation:
             for data in cases:
                 valid = is_parity_homomorphism(data)
                 verdicts[valid] += 1
-                for given in (data, HeightFunction.from_dict(data)):
-                    if valid:
-                        assert _pinned_map(region, given) == data
-                    else:
-                        with pytest.raises(ValueError) as err:
-                            _pinned_map(region, given)
-                        assert str(err.value) == (
-                            "pinned data is not a valid height function"
-                        )
+                # with the neighbour tuples built, then unbuilt (matrix rows)
+                for rows in (region._neighbor_positions, None):
+                    object.__setattr__(region, "_neighbor_rows", rows)
+                    for given in (data, HeightFunction.from_dict(data)):
+                        if valid:
+                            assert _pinned_map(region, given) == data
+                        else:
+                            with pytest.raises(ValueError) as err:
+                                _pinned_map(region, given)
+                            assert str(err.value) == (
+                                "pinned data is not a valid height function"
+                            )
+                    assert region._neighbor_rows is rows
         assert verdicts[True] >= 300 and verdicts[False] >= 300
 
     def test_validate_matches_the_oracle(self, metric_instances):
@@ -284,6 +289,24 @@ class TestPinnedValidation:
     def test_values_outside_int64_are_rejected(self):
         with pytest.raises(ValueError, match="int64"):
             min_max_extensions(PATH5, {(0,): 2**64, (4,): 0})
+
+    @pytest.mark.parametrize("side", [3, 20])
+    def test_envelopes_outside_int64_are_rejected(self, side):
+        # 3x3 takes the breadth-first search, 20x20 the l1 closed form
+        box = make_box((0, 0), (side - 1, side - 1))
+        top, reach = 2**63 - 2, 2 * (side - 1)  # reach: the l1 diameter
+        bound = r"outside the int64 range \[-9223372036854775808, 9223372036854775807\]"
+        # the high envelope passes 2**63 - 1, or the low one -2**63
+        for data in ({(0, 0): top}, {(0, 0): -top}):
+            for call in (min_max_extensions, kirszbraun_violation,
+                         enumerate_extensions):
+                with pytest.raises(ValueError, match=bound):
+                    call(box, data)
+        # with room for the distances both envelopes fit
+        low, high = min_max_extensions(box, {(0, 0): top - reach})
+        assert max(high.heights) == top and min(low.heights) == top - 2 * reach
+        low, high = min_max_extensions(box, {(0, 0): reach - top})
+        assert min(low.heights) == -top and max(high.heights) == 2 * reach - top
 
     def test_keys_come_out_as_python_int_tuples(self):
         want = {(0, 0): 0, (2, 2): 0, (1, 2): 1}

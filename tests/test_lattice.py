@@ -453,6 +453,55 @@ class TestDistances:
         with pytest.raises(KeyError):
             multi_source_distances(ring3(), {(1, 1): 0})
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_closed_form_matches_the_search_on_random_boxes(self, dim):
+        # sides on both sides of the crossover; below it the closed form is
+        # called directly, at and above it through multi_source_distances
+        rng = random.Random(dim)
+        sides = {1: [(7,), (399,), (400,), (901,)],
+                 2: [(1, 9), (5, 6), (19, 21), (20, 20), (3, 200), (31, 17)],
+                 3: [(1, 1, 5), (2, 3, 4), (7, 7, 8), (8, 8, 8), (5, 9, 11)]}
+        for shape in sides[dim]:
+            lows = tuple(rng.randrange(-5, 5) for _ in shape)
+            box = make_box(lows, tuple(a + s - 1 for a, s in zip(lows, shape)))
+            for _ in range(3):
+                picked = rng.sample(box.vertex_list, rng.randint(1, min(len(box), 40)))
+                offsets = {v: rng.randint(-30, 30) for v in picked}
+                sources = [(z, box.position(v)) for v, z in offsets.items()]
+                dist, _ = lattice._bfs(box._neighbor_positions, sorted(sources))
+                got = lattice._box_distances(box, sources)
+                assert got.dtype == np.int64
+                assert got.tolist() == dist
+                if len(box) >= lattice._CLOSED_FORM_MIN:
+                    assert multi_source_distances(box, offsets).tolist() == dist
+
+    def test_closed_form_is_the_large_box_path(self, monkeypatch):
+        small = make_box((0, 0), (19, 18))
+        large = make_box((0, 0), (19, 19))
+        assert len(small) < lattice._CLOSED_FORM_MIN <= len(large)
+        calls = count_bfs(monkeypatch)
+        multi_source_distances(small, {(0, 0): 0})
+        assert calls == [len(small)]
+        multi_source_distances(large, {(0, 0): 0})
+        assert calls == [len(small)]
+
+    def test_closed_form_at_the_ends_of_int64(self):
+        box = make_box((0, 0), (19, 19))  # l1 diameter 38
+        far = {(0, 0): INT64_MIN, (19, 19): INT64_MAX, (3, 4): 10**30}
+        got = multi_source_distances(box, far)
+        assert got.tolist() == [INT64_MIN + i + j for i, j in box.vertex_list]
+        top = multi_source_distances(box, {(19, 19): INT64_MAX - 38})
+        assert top.max() == INT64_MAX
+
+    @pytest.mark.parametrize("side", [3, 20])
+    def test_distances_leaving_int64_raise_on_both_paths(self, side):
+        # 3x3 takes the search, 20x20 the closed form; neither wraps around
+        box = make_box((0, 0), (side - 1, side - 1))
+        with pytest.raises(OverflowError):
+            multi_source_distances(box, {(0, 0): INT64_MAX - 1})
+        with pytest.raises(OverflowError):
+            multi_source_distances(box, {(0, 0): INT64_MIN - 1, (1, 1): 0})
+
     def test_l1_diameter(self):
         assert make_box((0, 0), (2, 2)).l1_diameter() == 4
         assert make_box((0,), (4,)).l1_diameter() == 4
@@ -672,7 +721,9 @@ class TestLargeRegions:
             vs = vs + vs[:2]
             rng.shuffle(vs)
             got = lattice._graph(np.asarray(vs, dtype=np.int64))
-            sorted_vs, rows, coords, nbr, degree, ea, eb, bounds = got
+            sorted_vs, coords, nbr, degree, ea, eb, bounds = got
+            # the tuples a Region builds on first use of _neighbor_positions
+            rows = lattice._neighbor_tuples(nbr, degree)
             assert sorted_vs == tuple(sorted(set(vs)))
             assert bounds == (
                 tuple(map(min, zip(*vs))), tuple(map(max, zip(*vs)))

@@ -218,18 +218,14 @@ def _is_height_function_at(
     order.  Each height must have the parity of its vertex's coordinate
     sum, and the heights at the two ends of every region edge with both
     ends in ``vals`` must differ by exactly 1.  The edges are read from
-    the neighbour rows of ``at``, so the work is O(len(vals)): from the
-    neighbour tuples once the region has built them, else from those rows
-    of the padded neighbour matrix (its padding -1 is no position).
+    the rows of ``at`` in the padded neighbour matrix (its padding -1 is
+    no position), so the work is O(len(vals)) and no neighbour tuple is
+    built.
     """
     if any((h - sum(v)) & 1 for v, h in vals.items()):
         return False
     height = dict(zip(at, vals.values()))
-    if region._neighbor_rows is None:
-        rows = region._neighbors[at].tolist()
-    else:
-        rows = map(region._neighbor_rows.__getitem__, at)
-    for h, row in zip(height.values(), rows):
+    for h, row in zip(height.values(), region._neighbors.take(at, 0).tolist()):
         for j in row:
             g = height.get(j)
             if g is not None and abs(g - h) != 1:

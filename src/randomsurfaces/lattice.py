@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_OUTSIDE_INT64 = f"distances leave the int64 range [{_INT64_MIN}, {_INT64_MAX}]"
 
 # Boxes of at least this many vertices take their distances from the
 # closed form; below it the search is faster (see ``_box_distances``).
@@ -435,7 +436,7 @@ def multi_source_distances(
     least ``_CLOSED_FORM_MIN`` vertices gets it from the l1 closed form
     (``_box_distances``), any other region from one ``_bfs`` pass: both
     O(|R|) plus the sources.  A result outside int64 raises
-    OverflowError on either path.
+    OverflowError naming the range, on either path.
     """
     if not offsets:
         raise ValueError("need at least one source")
@@ -443,13 +444,19 @@ def multi_source_distances(
     if len(region) >= _CLOSED_FORM_MIN and region.is_box():
         return _box_distances(region, sources)
     dist, _ = _bfs(region._neighbor_positions, sorted(sources))
-    return np.asarray(dist, dtype=np.int64)
+    try:
+        return np.asarray(dist, dtype=np.int64)
+    except OverflowError:
+        raise OverflowError(_OUTSIDE_INT64) from None
 
 
 def _box_distances(
     region: Region, sources: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """min over (offset, position) sources of offset + |v - s|_1, on a box.
+
+    The source positions are distinct (``multi_source_distances`` takes
+    them from the keys of a mapping).
 
     On a box the graph metric is the l1 distance, which separates by
     axis, so the minimum is a min-plus distance transform (Rosenfeld and
@@ -471,7 +478,7 @@ def _box_distances(
     cap = region.l1_diameter() + 1
     rel = np.array([min(z - least, cap) for z in zs], dtype=np.int64)
     grid = np.full(len(region), cap, dtype=np.int64)
-    np.minimum.at(grid, np.array(at, dtype=np.intp), rel)
+    grid[np.array(at, dtype=np.intp)] = rel
     lows, highs = region._bounds()
     grid = grid.reshape([b - a + 1 for a, b in zip(lows, highs)])
     for axis, side in enumerate(grid.shape):
@@ -487,10 +494,7 @@ def _box_distances(
         grid = np.minimum(fwd, bwd, out=fwd)
     out = grid.ravel()
     if not _INT64_MIN <= least <= _INT64_MAX - int(out.max()):
-        raise OverflowError(
-            f"distances from offset {least} leave the int64 range "
-            f"[{_INT64_MIN}, {_INT64_MAX}]"
-        )
+        raise OverflowError(_OUTSIDE_INT64)
     out += least
     return out
 

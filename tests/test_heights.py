@@ -200,10 +200,9 @@ class TestParity:
 
 
 class TestPinnedValidation:
-    """Pinned data and ``validate`` are checked on the region's neighbour
-    tuples, or on its neighbour matrix before the tuples are built; the
-    public ``is_parity_homomorphism`` on the induced adjacency is the
-    oracle."""
+    """Pinned data and ``validate`` are checked on the rows of the region's
+    padded neighbour matrix; the public ``is_parity_homomorphism`` on the
+    induced adjacency is the oracle."""
 
     def test_matches_the_oracle_on_random_pins(self, metric_instances):
         rng = np.random.default_rng(31)
@@ -218,19 +217,15 @@ class TestPinnedValidation:
             for data in cases:
                 valid = is_parity_homomorphism(data)
                 verdicts[valid] += 1
-                # with the neighbour tuples built, then unbuilt (matrix rows)
-                for rows in (region._neighbor_positions, None):
-                    object.__setattr__(region, "_neighbor_rows", rows)
-                    for given in (data, HeightFunction.from_dict(data)):
-                        if valid:
-                            assert _pinned_map(region, given) == data
-                        else:
-                            with pytest.raises(ValueError) as err:
-                                _pinned_map(region, given)
-                            assert str(err.value) == (
-                                "pinned data is not a valid height function"
-                            )
-                    assert region._neighbor_rows is rows
+                for given in (data, HeightFunction.from_dict(data)):
+                    if valid:
+                        assert _pinned_map(region, given) == data
+                    else:
+                        with pytest.raises(ValueError) as err:
+                            _pinned_map(region, given)
+                        assert str(err.value) == (
+                            "pinned data is not a valid height function"
+                        )
         assert verdicts[True] >= 300 and verdicts[False] >= 300
 
     def test_validate_matches_the_oracle(self, metric_instances):

@@ -497,9 +497,10 @@ class TestDistances:
     def test_distances_leaving_int64_raise_on_both_paths(self, side):
         # 3x3 takes the search, 20x20 the closed form; neither wraps around
         box = make_box((0, 0), (side - 1, side - 1))
-        with pytest.raises(OverflowError):
+        bound = r"^distances leave the int64 range \[-9223372036854775808, 9223372036854775807\]$"
+        with pytest.raises(OverflowError, match=bound):
             multi_source_distances(box, {(0, 0): INT64_MAX - 1})
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=bound):
             multi_source_distances(box, {(0, 0): INT64_MIN - 1, (1, 1): 0})
 
     def test_l1_diameter(self):

@@ -24,7 +24,6 @@ import numpy as np
 
 from .gibbs import (
     QuenchedMeasure,
-    _envelope_window,
     annealed_expectation,
     annealed_member_probabilities,
     quenched_measure,
@@ -33,19 +32,21 @@ from .gibbs import (
 from .heights import (
     ExtensionSet,
     HeightFunction,
+    _Envelopes,
+    _envelope_window,
+    _pinned_envelopes,
     as_height_function,
     enumerate_extensions,
     extremal_boundary,
-    min_max_extensions,
     parity_height,
 )
 from .lattice import (
     Region,
     Vertex,
     _bfs,
+    _distances,
     boundary,
     make_box,
-    multi_source_distances,
 )
 from .potential import (
     PotentialModel,
@@ -567,6 +568,10 @@ class ExperimentConfig:
         for key in ("ns", "c_values"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must name at least one value")
+        # with a nan A or c no bound is below 1, so no row would be judged
+        for key, values in (("A", (self.A,)), ("c_values", self.c_values)):
+            if not all(0 < x < math.inf for x in values):
+                raise ValueError(f"{key} must be finite and > 0, got {vars(self)[key]}")
         _check_sampling_knobs(
             {
                 key: getattr(self, key)
@@ -660,9 +665,13 @@ class ConcentrationReport:
 
 
 def _max_walk_length(region: Region) -> int:
-    """max over v of (graph distance to the boundary ring + 1)."""
-    ring = dict.fromkeys(boundary(region), 0)
-    return int(multi_source_distances(region, ring).max()) + 1
+    """max over v of (graph distance to the boundary ring + 1).
+
+    The ring is the vertices of in-region degree below 2m, as in
+    ``boundary``, read as positions off the degree array.
+    """
+    ring = np.flatnonzero(region._degree < 2 * region.dimension).tolist()
+    return int(_distances(region, ring, [0] * len(ring)).max()) + 1
 
 
 def _check_hypotheses(region: Region, n: int, A: float) -> tuple[int, int]:
@@ -706,14 +715,16 @@ def _mean_field(
 def _sampled_deviations(
     region: Region,
     pinned: HeightFunction,
-    envelopes: tuple[HeightFunction, HeightFunction],
+    envelopes: _Envelopes,
     config: ExperimentConfig,
     seed_key: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max-over-vertices |h - annealed mean|, one per fresh draw, by MCMC.
 
-    ``envelopes`` are the minimal and maximal extensions of ``pinned``;
-    the potentials live on the window between them.  Every chain runs
+    ``envelopes`` is the boundary triple of ``pinned`` (its positions and
+    its minimal and maximal extensions, from
+    ``heights._pinned_envelopes``); the potentials live on the window
+    between the extensions.  Every chain runs
     under its own potential draw and is burned in for
     burn_factor * span^2 sweeps.  Two groups of chains share one engine
     and are burned together: ``config.mean_draws`` mean-field chains
@@ -726,7 +737,7 @@ def _sampled_deviations(
     mean-field chains, which go on to sample the mean.  Returns
     (deviations, mean-field standard errors).
     """
-    window = _envelope_window(*envelopes)
+    window = _envelope_window(envelopes)
     span = window[1] - window[0] + 2  # height levels in play
     burn = max(50, int(round(config.burn_factor * span * span)))
     thin = max(1, int(round(config.thin_factor * span * span)))
@@ -784,7 +795,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, config.boundary, config.direction)
         diam, max_l = _check_hypotheses(region, n, config.A)
-        envelopes = min_max_extensions(region, pinned)
+        envelopes = _pinned_envelopes(region, pinned)
         # each mode gives the max deviations and its tail rule at a threshold
         if config.mode == "exact":
             support = enumerate_extensions(region, pinned)
@@ -808,7 +819,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
         ]
         summaries.append(
             SizeSummary(
-                n, len(region), diam, max_l, _envelope_window(*envelopes),
+                n, len(region), diam, max_l, _envelope_window(envelopes),
                 samples, stderr_max,
                 tuple((q, float(np.quantile(devs, q))) for q in _QUANTILES),
             )
@@ -866,7 +877,7 @@ def scaling_check(
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, boundary_kind, direction)
         devs[n], _ = _sampled_deviations(
-            region, pinned, min_max_extensions(region, pinned), config,
+            region, pinned, _pinned_envelopes(region, pinned), config,
             (seed, 7, tag),
         )
     small = devs[n_small] / n_small

@@ -81,15 +81,9 @@ def _load_region(args) -> lattice.Region:
 def _load_boundary(args, region: lattice.Region) -> heights.HeightFunction:
     if getattr(args, "boundary_file", None):
         try:
-            data = heights.read_heights(args.boundary_file)
+            return heights.read_heights(args.boundary_file)
         except ValueError as err:
             raise UsageError(f"{args.boundary_file}: {err}") from None
-        for v in data.domain:
-            if v not in region:
-                raise UsageError(
-                    f"boundary vertex {v} is outside the region"
-                )
-        return data
     kind = getattr(args, "boundary", None)
     if kind:
         try:
@@ -148,8 +142,13 @@ def _cmd_surface(args) -> int:
     region = lattice.make_box((0, 0), (args.n - 1, args.n - 1))
     data = _load_boundary(args, region)
     model = _model(args)
-    envelopes = heights.min_max_extensions(region, data)
-    window = gibbs._envelope_window(*envelopes)
+    try:
+        envelopes = heights._pinned_envelopes(region, data)
+    except heights.NoExtensionError:
+        raise
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+    window = heights._envelope_window(envelopes)
     p = potential.sample_potential(model, window, draw=0)
     sweeps = args.sweeps
     if sweeps is None:

@@ -23,10 +23,11 @@ from .heights import (
     ExtensionSet,
     HeightFunction,
     NoExtensionError,
+    _envelope_window,
+    _pinned_envelopes,
     as_height_function,
     enumerate_extensions,
     kirszbraun_violation,
-    min_max_extensions,
 )
 from .lattice import Region, Vertex, induced_edges, outer_extension
 from .potential import (
@@ -135,15 +136,15 @@ def _hamiltonians(support: ExtensionSet, values, lo: int, edges=slice(None)):
     return values[..., start : start + len(counts)] @ counts
 
 
-def _active_edges(region: Region, pinned: Iterable[Vertex]) -> np.ndarray:
+def _active_edges(region: Region, pinned: Sequence[int]) -> np.ndarray:
     """Mask of the edges touching S = region \\ R' or the boundary of R'.
 
-    R' is the pinned set and its relative boundary the pinned vertices
-    with a free neighbour, so an edge misses both exactly when its two
-    ends and all their neighbours are pinned.
+    R' is the pinned set, given by its region positions, and its relative
+    boundary the pinned vertices with a free neighbour, so an edge misses
+    both exactly when its two ends and all their neighbours are pinned.
     """
     pin = np.zeros(len(region) + 1, dtype=bool)
-    pin[[region.position(v) for v in pinned]] = True
+    pin[pinned] = True
     pin[-1] = True  # the neighbour matrix pads rows with -1
     deep = pin[:-1] & pin[region._neighbors].all(axis=1)
     ea, eb = region.edge_arrays()
@@ -210,18 +211,7 @@ def required_window(
     Heights of extensions live in [lo, hi] (see ``height_window``), so
     edges feel indices lo..hi-1.
     """
-    return _envelope_window(*min_max_extensions(region, pinned))
-
-
-def _envelope_window(
-    low: HeightFunction, high: HeightFunction
-) -> tuple[int, int]:
-    """Edge indices lo..hi-1 felt by heights between the minimal and
-    maximal extensions, lo = min(low) and hi = max(high)."""
-    lo, hi = min(low.heights), max(high.heights)
-    if hi == lo:  # single isolated value; no edge can occur in a region
-        return (lo, lo)
-    return (lo, hi - 1)
+    return _envelope_window(_pinned_envelopes(region, pinned))
 
 
 def _annealed_weights_by_potential(
@@ -341,7 +331,7 @@ def check_relative_complement_identity(
     support = mu.support
     if set(support.pinned.domain) != {tuple(v) for v in sub}:
         raise ValueError("sub must be the pinned vertex set")
-    touch = _active_edges(region, support.pinned.domain)
+    touch = _active_edges(region, support._pinned_positions)
     lw = _hamiltonians(support, p.values, p.lo, touch)
     local_probs = np.exp(lw - _logsumexp(lw))
     return float(
@@ -506,9 +496,9 @@ def identity_check_suite(samples: int = 100, seed: int = 0) -> IdentitySuiteResu
         )
         wlo, whi = required_window(region, data)
         p = sample_potential(model, (wlo, whi + 2), draw=trial)
-        # the localized route omits an edge's weight as constant
-        nontrivial += not _active_edges(region, data.domain).all()
         support = enumerate_extensions(region, data)
+        # the localized route omits an edge's weight as constant
+        nontrivial += not _active_edges(region, support._pinned_positions).all()
         worst_rel = max(
             worst_rel,
             check_relative_complement_identity(

@@ -7,6 +7,17 @@ values pinned on a subset R', the extension set M(R; h) collects all
 height functions on R agreeing with h on R'.  Extendability is a metric
 condition (see ``kirszbraun_extendable``): pinned values may not differ
 by more than the within-region graph distance.
+
+This module owns the one internal form of boundary data.  Pinned data is
+validated once (``_pinned_map``) into its region positions in ascending
+order, which is the lexicographic vertex order, with their values as
+Python ints.  Its envelopes, the minimal and maximal extensions, are
+int64 arrays aligned with ``region.vertex_list``; ``_pinned_envelopes``
+returns (positions, low, high), and the sampler, the Gibbs layer, the
+experiments and the CLI pass that triple on as it is.  ``HeightFunction``
+is the form of the public API and of the height files only: public
+functions such as ``min_max_extensions`` wrap the arrays in it when they
+return.
 """
 
 from __future__ import annotations
@@ -26,8 +37,8 @@ from .lattice import (
     Region,
     Vertex,
     _check_vertex,
+    _distances,
     induced_edges,
-    multi_source_distances,
 )
 
 __all__ = [
@@ -204,28 +215,25 @@ def validate(region: Region, f: Mapping[Vertex, int]) -> bool:
     vals = {tuple(v): int(z) for v, z in f.items()}
     if set(vals) != set(region.vertex_set):
         raise ValueError("function domain does not match the region")
-    return _is_height_function_at(
-        region, vals, list(map(region._position.__getitem__, vals))
-    )
+    at = list(map(region._position.__getitem__, vals))
+    return _is_height_function_at(region, at, list(vals.values()))
 
 
-def _is_height_function_at(
-    region: Region, vals: Mapping[Vertex, int], at: list[int]
-) -> bool:
-    """True iff ``vals`` is a height function on its vertices in the region.
+def _is_height_function_at(region: Region, at: list[int], zs: list[int]) -> bool:
+    """True iff the heights ``zs`` at the distinct region positions ``at``
+    form a height function on those vertices.
 
-    ``at`` holds the region positions of the vertices of ``vals``, in its
-    order.  Each height must have the parity of its vertex's coordinate
-    sum, and the heights at the two ends of every region edge with both
-    ends in ``vals`` must differ by exactly 1.  The edges are read from
-    the rows of ``at`` in the padded neighbour matrix (its padding -1 is
-    no position), so the work is O(len(vals)) and no neighbour tuple is
-    built.
+    Each height must have the parity of its vertex's coordinate sum, and
+    the heights at the two ends of every region edge with both ends in
+    ``at`` must differ by exactly 1.  The edges are read from the rows of
+    ``at`` in the padded neighbour matrix (its padding -1 is no position),
+    so the work is O(len(at)) and no neighbour tuple is built.
     """
-    if any((h - sum(v)) & 1 for v, h in vals.items()):
+    vs = region.vertex_list
+    if any((z - sum(vs[i])) & 1 for i, z in zip(at, zs)):
         return False
-    height = dict(zip(at, vals.values()))
-    for h, row in zip(height.values(), region._neighbors.take(at, 0).tolist()):
+    height = dict(zip(at, zs))
+    for h, row in zip(zs, region._neighbors.take(at, 0).tolist()):
         for j in row:
             g = height.get(j)
             if g is not None and abs(g - h) != 1:
@@ -233,56 +241,59 @@ def _is_height_function_at(
     return True
 
 
-def _pinned_map(region: Region, pinned: Mapping[Vertex, int]) -> dict[Vertex, int]:
-    """The pinned data as a dict, checked to be a height function in region.
+def _pinned_map(region: Region, pinned: Mapping[Vertex, int]) -> tuple[list, list]:
+    """The pinned data, checked to be a height function in region, as
+    region positions in ascending order and their values as Python ints.
 
-    Keys that are all tuples of Python ints and all region vertices pass
-    ``_check_vertex`` as they are, so they are taken without it; any
-    other keys go through it, which raises its own errors in key order.
+    Ascending positions are the lexicographic vertex order.  Keys (the
+    domain of a HeightFunction) that are all tuples of Python ints and
+    all region vertices pass ``_check_vertex`` as they are, so they are
+    taken without it; any other keys go through it, which raises its own
+    errors in key order.
     """
-    if isinstance(pinned, HeightFunction):
-        vals = pinned.as_dict()
-        at = list(map(region._position.get, vals))
-    else:
-        keys = list(pinned)
-        plain = set(map(type, keys)) <= {tuple} and set(
-            map(type, chain.from_iterable(keys))
-        ) <= {int}
-        at = list(map(region._position.get, keys)) if plain else None
-        if at is None or None in at:
-            vals = {
-                _check_vertex(v, region.dimension): int(z)
-                for v, z in pinned.items()
-            }
-            at = list(map(region._position.get, vals))
-        else:
-            vals = dict(zip(keys, map(int, pinned.values())))
-    if not vals:
+    hf = isinstance(pinned, HeightFunction)
+    keys = list(pinned.domain if hf else pinned)
+    values = pinned.heights if hf else pinned.values()
+    plain = set(map(type, keys)) <= {tuple} and set(
+        map(type, chain.from_iterable(keys))
+    ) <= {int}
+    at = list(map(region._position.get, keys)) if plain else None
+    if at is None or None in at:
+        vals = {
+            _check_vertex(v, region.dimension): int(z)
+            for v, z in zip(keys, values)
+        }
+        keys, values = list(vals), vals.values()
+        at = list(map(region._position.get, keys))
+    zs = list(map(int, values))
+    if not keys:
         raise ValueError("pinned data must be nonempty")
     if None in at:
-        v = next(v for v, i in zip(vals, at) if i is None)
+        v = keys[at.index(None)]
         raise ValueError(f"pinned vertex {v} lies outside the region")
-    if min(vals.values()) < _INT64_MIN or max(vals.values()) > _INT64_MAX:
+    if min(zs) < _INT64_MIN or max(zs) > _INT64_MAX:
         raise ValueError("pinned values must fit in int64")
-    if not _is_height_function_at(region, vals, at):
+    if not _is_height_function_at(region, at, zs):
         raise ValueError("pinned data is not a valid height function")
-    return vals
+    at, zs = zip(*sorted(zip(at, zs)))
+    return list(at), list(zs)
 
 
 def _envelopes(
-    region: Region, vals: dict[Vertex, int]
+    region: Region, at: list[int], zs: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise greatest lower / least upper height bounds from pinned data.
 
-    low(v) = max_x (h(x) - d_R(x, v)),  high(v) = min_x (h(x) + d_R(x, v)).
-    One ``multi_source_distances`` pass each (the l1 closed form on a
-    large box, an offset BFS elsewhere): high with the pinned values as
-    offsets, low with their negatives, negated back.  Pinned values that
-    put either envelope outside int64 raise ValueError.
+    low(v) = max_x (h(x) - d_R(x, v)),  high(v) = min_x (h(x) + d_R(x, v)),
+    for the values ``zs`` pinned at the positions ``at``.  One
+    ``lattice._distances`` pass each (the l1 closed form on a large box,
+    an offset BFS elsewhere): high with the pinned values as offsets, low
+    with their negatives, negated back.  Pinned values that put either
+    envelope outside int64 raise ValueError.
     """
     try:
-        high = multi_source_distances(region, vals)
-        low = -multi_source_distances(region, {v: -z for v, z in vals.items()})
+        high = _distances(region, at, zs)
+        low = -_distances(region, at, [-z for z in zs])
     except OverflowError:
         raise ValueError(
             "pinned values put the height envelopes outside the int64 range "
@@ -292,27 +303,25 @@ def _envelopes(
 
 
 def _first_violation(
-    region: Region, vals: dict[Vertex, int], low: np.ndarray, high: np.ndarray
+    region: Region, at: list[int], zs: list[int], low: np.ndarray, high: np.ndarray
 ) -> tuple[Vertex, Vertex, int, int] | None:
     """The first pinned pair in sorted (x, y) order with a gap over d_R(x, y).
 
-    A pinned x belongs to some violating pair exactly when its own value
+    ``at`` and ``zs`` are the pinned positions, ascending, and values.  A
+    pinned x belongs to some violating pair exactly when its own value
     leaves its envelopes: high(x) < h(x) when some y lies more than
     d_R(x, y) below it, low(x) > h(x) when some y lies above.  So x is
     read off the envelopes, and the single-source distances from x (from
-    ``multi_source_distances``, so the closed form on a large box) name y.
+    ``lattice._distances``, so the closed form on a large box) name y.
     """
-    vs = sorted(vals)
-    at = list(map(region._position.__getitem__, vs))
-    zs = list(map(vals.__getitem__, vs))
-    pos, z = np.array(at, dtype=np.intp), np.array(zs, dtype=np.int64)
-    outside = np.flatnonzero((high[pos] < z) | (low[pos] > z))
+    outside = np.flatnonzero((high[at] < zs) | (low[at] > zs))
+    vs = region.vertex_list
     for k in outside.tolist():
-        dist = multi_source_distances(region, {vs[k]: 0}).tolist()
-        for y, j, zy in zip(vs, at, zs):
+        dist = _distances(region, [at[k]], [0]).tolist()
+        for j, zy in zip(at, zs):
             gap = abs(zs[k] - zy)
             if gap > dist[j]:
-                return (vs[k], y, gap, dist[j])
+                return (vs[at[k]], vs[j], gap, dist[j])
     return None
 
 
@@ -322,18 +331,48 @@ def kirszbraun_violation(
     """First pinned pair with |h(x)-h(y)| > d_R(x,y), or None if extendable.
 
     The pair returned is the first in sorted (x, y) order, the one a scan
-    of all pinned pairs would stop at.  Cost O(|R|): two
-    ``multi_source_distances`` passes for the envelopes (the l1 closed
-    form on a large box, an offset BFS elsewhere), plus one single-source
-    pass from x when the data is not extendable.
+    of all pinned pairs would stop at.  Cost O(|R|): two distance passes
+    for the envelopes (the l1 closed form on a large box, an offset BFS
+    elsewhere), plus one single-source pass from x when the data is not
+    extendable.
     """
-    vals = _pinned_map(region, pinned)
-    return _first_violation(region, vals, *_envelopes(region, vals))
+    at, zs = _pinned_map(region, pinned)
+    return _first_violation(region, at, zs, *_envelopes(region, at, zs))
 
 
 def kirszbraun_extendable(region: Region, pinned: Mapping[Vertex, int]) -> bool:
     """Extension exists iff pinned gaps never exceed graph distance."""
     return kirszbraun_violation(region, pinned) is None
+
+
+# The package's one form of boundary data: the pinned positions in
+# ascending order, and the minimal and maximal extensions as int64 arrays
+# aligned with ``region.vertex_list`` (pinned sites hold the pinned values).
+_Envelopes = tuple[list[int], np.ndarray, np.ndarray]
+
+
+def _pinned_envelopes(region: Region, pinned: Mapping[Vertex, int]) -> _Envelopes:
+    """(pinned positions, low, high) for extendable pinned data.
+
+    low and high are the envelopes of ``_envelopes``, the minimal and
+    maximal extensions.  Raises NoExtensionError when none exists.
+    """
+    at, zs = _pinned_map(region, pinned)
+    low, high = _envelopes(region, at, zs)
+    if (low > high).any():
+        witness = _first_violation(region, at, zs, low, high)
+        if witness is None:  # unreachable given low > high somewhere
+            raise AssertionError("inconsistent envelope without metric witness")
+        raise NoExtensionError(*witness)
+    return at, low, high
+
+
+def _envelope_window(envelopes: _Envelopes) -> tuple[int, int]:
+    """Edge indices lo..hi-1 felt by heights between the minimal and
+    maximal extensions, lo = min(low) and hi = max(high)."""
+    lo, hi = int(envelopes[1].min()), int(envelopes[2].max())
+    # hi == lo: a single isolated value, and no edge can occur in a region
+    return (lo, max(lo, hi - 1))
 
 
 def min_max_extensions(
@@ -345,13 +384,7 @@ def min_max_extensions(
     both are themselves height functions on the region and every extension
     lies between them pointwise.  Raises NoExtensionError when none exists.
     """
-    vals = _pinned_map(region, pinned)
-    low, high = _envelopes(region, vals)
-    if (low > high).any():
-        witness = _first_violation(region, vals, low, high)
-        if witness is None:  # unreachable given low > high somewhere
-            raise AssertionError("inconsistent envelope without metric witness")
-        raise NoExtensionError(*witness)
+    _, low, high = _pinned_envelopes(region, pinned)
     vs = region.vertex_list
     return (
         HeightFunction._trusted(vs, tuple(low.tolist())),
@@ -363,8 +396,8 @@ def height_window(
     region: Region, pinned: Mapping[Vertex, int]
 ) -> tuple[int, int]:
     """Smallest interval [lo, hi] containing every extension's values."""
-    lo_f, hi_f = min_max_extensions(region, pinned)
-    return (min(lo_f.heights), max(hi_f.heights))
+    _, low, high = _pinned_envelopes(region, pinned)
+    return (int(low.min()), int(high.max()))
 
 
 def _heights(offsets: np.ndarray, base: int) -> np.ndarray:
@@ -463,6 +496,11 @@ class ExtensionSet:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def _pinned_positions(self) -> list[int]:
+        """Region positions of the pinned vertices, ascending."""
+        return list(map(self.region._position.__getitem__, self.pinned.domain))
+
     def index_of(self, member: HeightFunction) -> int:
         try:
             return self._member_index[member.heights]
@@ -504,10 +542,10 @@ def enumerate_extensions(
     are held as offsets from the lowest envelope value, in the narrowest
     integer type that holds the window.
     """
-    vals = _pinned_map(region, pinned)
+    at, zs = _pinned_map(region, pinned)
     pinned_f = as_height_function(pinned)
     n = len(region.vertex_list)
-    env_low, env_high = _envelopes(region, vals)
+    env_low, env_high = _envelopes(region, at, zs)
     if (env_low > env_high).any():  # exactly when a pinned gap is too wide
         return ExtensionSet(region, pinned_f, np.empty((0, n), dtype=np.int8))
 
@@ -517,16 +555,13 @@ def enumerate_extensions(
     # offsets lie in [0, span]; the bounds below reach -1 and span + 1,
     # the second candidate lo + 2 up to span + 2
     dtype = np.min_scalar_type(-(max(high) + 3))
-    fixed = [False] * n
+    fixed = set(at)
     partials = np.zeros((1, n), dtype=dtype)
-    for v, z in vals.items():
-        i = region.position(v)
-        partials[0, i] = z - base
-        fixed[i] = True
+    partials[0, at] = [z - base for z in zs]
 
     nbrs = region._neighbor_positions
     for i in range(n):
-        if fixed[i]:
+        if i in fixed:
             continue
         # a pinned neighbour's bound is already in the envelopes
         earlier = [j for j in nbrs[i] if j < i]

@@ -14,17 +14,21 @@ Python work).  The vertex tuples (``vertex_list``, positions) are made
 once; ``vertex_set``, ``edge_positions`` and the neighbour tuples are
 made on first use only.
 
-Distances take one of two paths.  On a box the graph metric is the l1
-distance, so on a box of at least ``_CLOSED_FORM_MIN`` vertices
-``multi_source_distances`` is a min-plus distance transform: one forward
-and one backward running minimum per axis over the grid, in int64 (no
-search and no neighbour tuples).  Every other region, and smaller boxes,
-where the fixed numpy cost outweighs the search, run one offset
-breadth-first search with parent pointers (``_bfs``).  The search also
-serves the connectivity check, ``distance_map`` and ``graph_distance``,
-and the boundary-to-interior walks of ``analysis``.  The connectivity
-check runs it only when a region does not fill its bounding box: a set
-that fills its box is connected.
+Multi-source distances are computed from positions: ``_distances``
+takes the source positions and their offsets, the form in which the
+package holds pinned data, and ``multi_source_distances`` is its public
+wrapper over a vertex-to-offset mapping.  They take one of two paths.
+On a box the graph metric is the l1 distance, so on a box of at least
+``_CLOSED_FORM_MIN`` vertices they come from a min-plus distance
+transform: one forward and one backward running minimum per axis over
+the grid, in int64 (no search and no neighbour tuples).  Every other
+region, and smaller boxes, where the fixed numpy cost outweighs the
+search, run one offset breadth-first search with parent pointers
+(``_bfs``).  The search also serves the connectivity check,
+``distance_map`` and ``graph_distance``, and the boundary-to-interior
+walks of ``analysis``.  The connectivity check runs it only when a
+region does not fill its bounding box: a set that fills its box is
+connected.
 """
 
 from __future__ import annotations
@@ -432,18 +436,31 @@ def multi_source_distances(
     """min over sources s of (offsets[s] + d_R(s, v)), for every vertex v.
 
     ``offsets`` maps each source vertex to an integer offset; the result
-    is an int64 array aligned with ``region.vertex_list``.  A box of at
-    least ``_CLOSED_FORM_MIN`` vertices gets it from the l1 closed form
-    (``_box_distances``), any other region from one ``_bfs`` pass: both
-    O(|R|) plus the sources.  A result outside int64 raises
-    OverflowError naming the range, on either path.
+    is an int64 array aligned with ``region.vertex_list``, from
+    ``_distances`` on the sources' positions: the l1 closed form on a box
+    of at least ``_CLOSED_FORM_MIN`` vertices, one ``_bfs`` pass on any
+    other region.  A result outside int64 raises OverflowError naming the
+    range, on either path.
     """
     if not offsets:
         raise ValueError("need at least one source")
-    sources = [(int(z), region.position(v)) for v, z in offsets.items()]
+    zs, at = zip(*[(int(z), region.position(v)) for v, z in offsets.items()])
+    return _distances(region, at, zs)
+
+
+def _distances(region: Region, at: Sequence[int], zs: Sequence[int]) -> np.ndarray:
+    """min over sources k of (zs[k] + d_R(at[k], v)), for every vertex v.
+
+    ``at`` holds distinct source positions and ``zs`` their offsets, as
+    Python ints.  A box of at least ``_CLOSED_FORM_MIN`` vertices gets
+    the result from the l1 closed form (``_box_distances``), any other
+    region from one ``_bfs`` pass: both O(|R|) plus the sources.  A
+    result outside int64 raises OverflowError naming the range, on either
+    path.
+    """
     if len(region) >= _CLOSED_FORM_MIN and region.is_box():
-        return _box_distances(region, sources)
-    dist, _ = _bfs(region._neighbor_positions, sorted(sources))
+        return _box_distances(region, at, zs)
+    dist, _ = _bfs(region._neighbor_positions, sorted(zip(zs, at)))
     try:
         return np.asarray(dist, dtype=np.int64)
     except OverflowError:
@@ -451,12 +468,12 @@ def multi_source_distances(
 
 
 def _box_distances(
-    region: Region, sources: Sequence[tuple[int, int]]
+    region: Region, at: Sequence[int], zs: Sequence[int]
 ) -> np.ndarray:
-    """min over (offset, position) sources of offset + |v - s|_1, on a box.
+    """min over sources k of zs[k] + |v - at[k]|_1, on a box.
 
-    The source positions are distinct (``multi_source_distances`` takes
-    them from the keys of a mapping).
+    The source positions ``at`` are distinct and the offsets ``zs`` are
+    Python ints.
 
     On a box the graph metric is the l1 distance, which separates by
     axis, so the minimum is a min-plus distance transform (Rosenfeld and
@@ -473,7 +490,6 @@ def _box_distances(
     25x25 78 against 123, 100x100 0.34 against 1.97 ms; the two break
     even near 300 vertices in 2D and 450 in 3D.
     """
-    zs, at = zip(*sources)
     least = min(zs)
     cap = region.l1_diameter() + 1
     rel = np.array([min(z - least, cap) for z in zs], dtype=np.int64)

@@ -37,8 +37,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .gibbs import QuenchedMeasure, _envelope_window
-from .heights import HeightFunction, as_height_function, min_max_extensions
+from .gibbs import QuenchedMeasure
+from .heights import (
+    HeightFunction,
+    _Envelopes,
+    _envelope_window,
+    _pinned_envelopes,
+    as_height_function,
+)
 from .lattice import Region, Vertex
 from .potential import Potential
 
@@ -102,18 +108,6 @@ def _neighbor_slots(region: Region, sites: np.ndarray):
     return k, np.where(np.arange(kmax) < k[:, None], nb, nb[:, :1])
 
 
-def _check_window(
-    p: Potential, low: HeightFunction, high: HeightFunction
-) -> None:
-    """Reject ``p`` unless its window covers every edge minimum between
-    the minimal and maximal extensions ``low`` and ``high``."""
-    lo, hi = _envelope_window(low, high)
-    if not p.covers(lo, hi):
-        raise ValueError(
-            f"potential window {p.window} does not cover required [{lo}, {hi}]"
-        )
-
-
 def coupled_run(
     region: Region,
     pinned_low: Mapping[Vertex, int],
@@ -150,7 +144,7 @@ def coupled_run(
         raise ValueError("coupled chains need a common pinned vertex set")
     if not pin_low.le(pin_high):
         raise ValueError("boundary data must be ordered low <= high")
-    envelopes = [min_max_extensions(region, d) for d in (pin_low, pin_high)]
+    envelopes = [_pinned_envelopes(region, d) for d in (pin_low, pin_high)]
     groups = [(rng, 1), (copy.deepcopy(rng), 1)]
     eng = BoxGlauber(
         region, pin_low, [p, p], rng, _envelopes=envelopes, _groups=groups
@@ -165,11 +159,8 @@ def coupled_run(
             raise AssertionError(
                 f"coupling lost the order at vertex {v}, half-sweep {t}"
             )
-    low, high = eng.height_matrix().tolist()
-    return (
-        HeightFunction(region.vertex_list, tuple(low)),
-        HeightFunction(region.vertex_list, tuple(high)),
-    )
+    rows = eng.height_matrix().tolist()
+    return tuple(HeightFunction._trusted(region.vertex_list, tuple(r)) for r in rows)
 
 
 def sample_indices(
@@ -202,7 +193,7 @@ def transition_matrix(mu: QuenchedMeasure) -> np.ndarray:
     support = mu.support
     region = support.region
     pinned = np.zeros(len(region), dtype=bool)
-    pinned[[region.position(v) for v in support.pinned.domain]] = True
+    pinned[support._pinned_positions] = True
     free = np.flatnonzero(~pinned)
     if not free.size:
         return np.eye(len(support))
@@ -325,13 +316,16 @@ class BoxGlauber:
     ``(len(region),)``, ``low`` the coordinatewise minimum and both arrays
     follow ``region.vertex_list``.
 
-    ``_envelopes``, for callers inside the package, holds one (minimal,
-    maximal) extension pair per group, all on ``pinned``'s vertex set
-    (without it every group takes the extensions of ``pinned``, computed
-    here).  Each group starts from, and is reach-checked against, its own
-    pair, and its pinned sites keep that pair's values, so groups may
-    run under different boundary data: ``coupled_run`` runs an ordered
-    pair this way.
+    ``_envelopes``, for callers inside the package, holds one boundary
+    triple per group, all on ``pinned``'s vertex set: the pinned
+    positions in ascending order, and the minimal and maximal extensions
+    as int64 arrays aligned with ``region.vertex_list``, as
+    ``heights._pinned_envelopes`` returns them (without it every group
+    takes the triple of ``pinned``, computed here).  The pinned sites are
+    the first triple's positions.  Each group starts from, and is
+    reach-checked against, its own envelopes, and its pinned sites keep
+    their values, so groups may run under different boundary data:
+    ``coupled_run`` runs an ordered pair this way.
     """
 
     def __init__(
@@ -342,8 +336,7 @@ class BoxGlauber:
         rng: np.random.Generator,
         start: str = "low",
         *,
-        _envelopes: Sequence[tuple[HeightFunction, HeightFunction]]
-        | None = None,
+        _envelopes: Sequence[_Envelopes] | None = None,
         _groups: Sequence[tuple[np.random.Generator, int]] | None = None,
     ):
         if not potentials:
@@ -360,10 +353,10 @@ class BoxGlauber:
         if rng is not self._groups[0][0]:
             raise ValueError("rng must be the first group's generator")
         if _envelopes is None:
-            _envelopes = [min_max_extensions(region, pinned)] * len(self._groups)
+            _envelopes = [_pinned_envelopes(region, pinned)] * len(self._groups)
         if len(_envelopes) != len(self._groups):
             raise ValueError(
-                f"{len(_envelopes)} envelope pairs for "
+                f"{len(_envelopes)} envelope triples for "
                 f"{len(self._groups)} chain groups"
             )
 
@@ -375,20 +368,23 @@ class BoxGlauber:
         self.low = tuple(lows)
         self.shape = sides if region.is_box() else (len(region),)
         pinned_flat = np.zeros(len(region), dtype=bool)
-        pinned_flat[
-            [region.position(v) for v in as_height_function(pinned).domain]
-        ] = True
+        pinned_flat[_envelopes[0][0]] = True
         self.pinned_mask = pinned_flat.reshape(self.shape)
 
         parity = coords.sum(axis=1) % 2
-        # per distinct envelope pair (groups may share one): its arrays
-        # and the start they give
+        # per distinct envelope triple (groups may share one): its
+        # envelopes and the start they give
         starts = {}
-        for pair in _envelopes:
-            if id(pair) in starts:
+        for env in _envelopes:
+            if id(env) in starts:
                 continue
-            _check_window(potentials[0], *pair)
-            low, high = (np.asarray(f.heights, dtype=np.int64) for f in pair)
+            # the window must cover every edge minimum between the envelopes
+            lo, hi = _envelope_window(env)
+            if not potentials[0].covers(lo, hi):
+                raise ValueError(
+                    f"potential window {win} does not cover required [{lo}, {hi}]"
+                )
+            _, low, high = env
             if start == "low":
                 init = low
             else:
@@ -397,7 +393,7 @@ class BoxGlauber:
                 # function, and this start sits near the equilibrium plateau
                 t = int(np.round((low + high).mean() / 2.0))
                 init = np.clip(t + (t + parity) % 2, low, high)
-            starts[id(pair)] = (low, high, init)
+            starts[id(env)] = (low, high, init)
 
         # sites-major storage: free sites of parity 0, of parity 1, pinned
         blocks = [
@@ -410,7 +406,7 @@ class BoxGlauber:
             t for t in (np.int8, np.int16, np.int32, np.int64)
             if np.iinfo(t).min <= win[0] - 2 and win[1] + 2 <= np.iinfo(t).max
         )
-        inits = [starts[id(pair)][2][order].astype(dtype) for pair in _envelopes]
+        inits = [starts[id(env)][2][order].astype(dtype) for env in _envelopes]
         self._h = np.repeat(
             np.stack(inits, axis=1), [c for _, c in self._groups], axis=1
         )

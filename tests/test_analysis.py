@@ -755,6 +755,12 @@ class TestBoundaryDataAndConfig:
             ("thin_factor", -0.125),
             ("thin_factor", float("nan")),
             ("burn_factor", float("inf")),
+            ("A", float("nan")),
+            ("A", float("inf")),
+            ("A", 0.0),
+            ("c_values", (float("nan"),)),
+            ("c_values", (1.0, float("inf"))),
+            ("c_values", (-0.5,)),
         ],
     )
     def test_experiment_rejects_bad_counts(self, key, value):
@@ -814,16 +820,18 @@ class TestBoundaryDataAndConfig:
 
 
 def count_envelopes(monkeypatch):
-    """Count min_max_extensions calls through every module that uses it."""
+    """Count calls of the private envelope function through every module
+    that uses it."""
     calls = []
+    envelopes = heights._pinned_envelopes
 
     def counting(region, pinned):
         calls.append(len(region))
-        return min_max_extensions(region, pinned)
+        return envelopes(region, pinned)
 
     for mod in (analysis, gibbs, heights, sampler):
-        if hasattr(mod, "min_max_extensions"):
-            monkeypatch.setattr(mod, "min_max_extensions", counting)
+        if hasattr(mod, "_pinned_envelopes"):
+            monkeypatch.setattr(mod, "_pinned_envelopes", counting)
     return calls
 
 
@@ -852,6 +860,46 @@ class TestEnvelopesOncePerSize:
         assert calls == [9, 25]
 
 
+class TestEnvelopesStayArrays:
+    """On a large box the engine, the Monte Carlo deviations and the
+    ``surface`` command build no HeightFunction over the whole region:
+    the envelopes reach the engine as int64 arrays."""
+
+    def test_no_whole_region_height_function(self, tmp_path, monkeypatch):
+        from randomsurfaces.cli import main
+
+        region = make_box((0, 0), (99, 99))
+        pinned = box_boundary_data(region, "extremal", 1)
+        sizes = []
+        trusted = HeightFunction._trusted.__func__
+        init = HeightFunction.__init__
+
+        def counting_trusted(cls, domain, values):
+            sizes.append(len(domain))
+            return trusted(cls, domain, values)
+
+        def counting_init(self, domain, values):
+            sizes.append(len(domain))
+            init(self, domain, values)
+
+        monkeypatch.setattr(
+            HeightFunction, "_trusted", classmethod(counting_trusted)
+        )
+        monkeypatch.setattr(HeightFunction, "__init__", counting_init)
+        p = sample_potential(PotentialModel("twopoint", 1.0, 0), (-1, 99))
+        sampler.BoxGlauber(region, pinned, [p], np.random.default_rng(0))
+        # the Monte Carlo rows run _sampled_deviations
+        concentration_experiment(ExperimentConfig(
+            ns=(100,), c_values=(1.0,), tail_samples=2, mean_draws=2,
+            mean_samples_per_draw=1, burn_factor=0.0, thin_factor=0.0,
+        ))
+        assert main([
+            "surface", "--n", "100", "--sweeps", "1",
+            "--out", str(tmp_path / "s.grid"),
+        ]) == 0
+        assert sizes and len(region) not in sizes
+
+
 def two_engine_deviations(region, pinned, envelopes, config, seed_key):
     """``_sampled_deviations`` as two engines, one burned after the other.
 
@@ -859,7 +907,7 @@ def two_engine_deviations(region, pinned, envelopes, config, seed_key):
     ``seed_key + (1,)``) and sample the mean; then the tail chains get a
     fresh engine (seed ``seed_key + (2,)``) and their own burn.
     """
-    window = gibbs._envelope_window(*envelopes)
+    window = heights._envelope_window(envelopes)
     span = window[1] - window[0] + 2
     burn = max(50, int(round(config.burn_factor * span * span)))
     thin = max(1, int(round(config.thin_factor * span * span)))
@@ -905,7 +953,7 @@ class TestJointBurn:
     ):
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, boundary, 1)
-        envelopes = min_max_extensions(region, pinned)
+        envelopes = heights._pinned_envelopes(region, pinned)
         tails, mean_draws, per_draw = counts
         config = ExperimentConfig(
             model=model, tail_samples=tails, mean_draws=mean_draws,

@@ -184,6 +184,28 @@ class TestSurface:
         assert code == 2
         assert "infeasible boundary" in out
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n0 0 0\n0 1 3\n", "pinned data is not a valid height function"),
+            ("2\n0 0 18446744073709551616\n4 4 0\n",
+             "pinned values must fit in int64"),
+        ],
+    )
+    def test_bad_boundary_file_is_a_usage_error(
+        self, tmp_path, capsys, text, message
+    ):
+        f = tmp_path / "bad.heights"
+        f.write_text(text)
+        out_file = tmp_path / "x.grid"
+        code, out, err = run(
+            capsys, "surface", "--n", "5", "--boundary-file", str(f),
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert out == "" and err == f"error: {message}\n"
+        assert not out_file.exists()
+
     def test_small_n_rejected(self, capsys):
         code, _, err = run(
             capsys, "surface", "--n", "1", "--out", "/tmp/x.grid"
@@ -397,6 +419,22 @@ class TestConcentration:
         assert code == 1
         assert "tail_samples" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--A", "nan", "A"), ("--A", "inf", "A"), ("--c", "nan", "c_values"),
+         ("--c", "1,inf", "c_values")],
+    )
+    def test_non_finite_A_or_c_exits_1(self, tmp_path, capsys, flag, value, key):
+        # under a nan no bound is below 1, so every row would pass unjudged
+        out_file = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "concentration", "--mode", "exact", flag, value,
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert err.startswith(f"error: bad config value: {key} must be finite")
+        assert out == "" and not out_file.exists()
+
     def test_flag_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(self.CONFIG)
@@ -593,14 +631,14 @@ class TestRecordedOutputs:
         from randomsurfaces import gibbs, heights, sampler
 
         calls = []
-        envelopes = heights.min_max_extensions
+        envelopes = heights._pinned_envelopes
 
         def counting(region, pinned):
             calls.append(len(region))
             return envelopes(region, pinned)
 
         for mod in (heights, gibbs, sampler):
-            monkeypatch.setattr(mod, "min_max_extensions", counting)
+            monkeypatch.setattr(mod, "_pinned_envelopes", counting)
         code, _, _ = run(
             capsys, "surface", "--n", str(n), "--sweeps", sweeps,
             "--out", str(tmp_path / "s.grid"),

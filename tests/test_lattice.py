@@ -467,9 +467,10 @@ class TestDistances:
             for _ in range(3):
                 picked = rng.sample(box.vertex_list, rng.randint(1, min(len(box), 40)))
                 offsets = {v: rng.randint(-30, 30) for v in picked}
-                sources = [(z, box.position(v)) for v, z in offsets.items()]
-                dist, _ = lattice._bfs(box._neighbor_positions, sorted(sources))
-                got = lattice._box_distances(box, sources)
+                at = [box.position(v) for v in offsets]
+                zs = list(offsets.values())
+                dist, _ = lattice._bfs(box._neighbor_positions, sorted(zip(zs, at)))
+                got = lattice._box_distances(box, at, zs)
                 assert got.dtype == np.int64
                 assert got.tolist() == dist
                 if len(box) >= lattice._CLOSED_FORM_MIN:

@@ -24,7 +24,7 @@ from scipy.special import expit
 from randomsurfaces import sampler
 from randomsurfaces.gibbs import quenched_measure, required_window
 from randomsurfaces.heights import (
-    HeightFunction,
+    _pinned_envelopes,
     enumerate_extensions,
     extremal_boundary,
     kirszbraun_extendable,
@@ -942,28 +942,28 @@ class TestTableReach:
         # one to 0 narrows the window to [-2, 0], but the middle site's
         # neighbours sit between -1 and 1
         pinned = {(0,): 0, (4,): 0}
-        low, high = min_max_extensions(PATH5, pinned)
-        fake = HeightFunction(PATH5.vertex_list, (0, 1, 0, 1, 0))
+        at, low, high = _pinned_envelopes(PATH5, pinned)
+        fake = np.array([0, 1, 0, 1, 0])
         p = Potential(-2, 0, np.zeros(3))
         with pytest.raises(ValueError, match=r"reach \[-1, 1\]"):
             BoxGlauber(PATH5, pinned, [p], np.random.default_rng(0),
-                       _envelopes=[(low, fake)])
+                       _envelopes=[(at, low, fake)])
         BoxGlauber(PATH5, pinned, [Potential(-2, 1, np.zeros(4))],
-                   np.random.default_rng(0), _envelopes=[(low, high)])
+                   np.random.default_rng(0), _envelopes=[(at, low, high)])
 
     def test_each_group_is_checked_against_its_own_envelopes(self):
         # (low, low) fits the window [-2, 0]; the second group's pair is
         # the one above whose reach leaves it
         pinned = {(0,): 0, (4,): 0}
-        low, _ = min_max_extensions(PATH5, pinned)
-        fake = HeightFunction(PATH5.vertex_list, (0, 1, 0, 1, 0))
+        at, low, _ = _pinned_envelopes(PATH5, pinned)
+        fake = np.array([0, 1, 0, 1, 0])
         p = Potential(-2, 0, np.zeros(3))
         rng = np.random.default_rng(0)
         groups = [(rng, 1), (np.random.default_rng(0), 1)]
-        BoxGlauber(PATH5, pinned, [p], rng, _envelopes=[(low, low)])
+        BoxGlauber(PATH5, pinned, [p], rng, _envelopes=[(at, low, low)])
         with pytest.raises(ValueError, match=r"reach \[-1, 1\]"):
             BoxGlauber(PATH5, pinned, [p, p], rng, _groups=groups,
-                       _envelopes=[(low, low), (low, fake)])
+                       _envelopes=[(at, low, low), (at, low, fake)])
         with pytest.raises(ValueError, match="2 chain groups"):
             BoxGlauber(PATH5, pinned, [p, p], rng, _groups=groups,
-                       _envelopes=[(low, low)])
+                       _envelopes=[(at, low, low)])

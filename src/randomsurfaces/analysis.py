@@ -496,12 +496,22 @@ def boundary_to_interior_walks(
     return walks
 
 
+def _check_finite_positive(key: str, value: float | tuple[float, ...]) -> None:
+    """Reject a value, or a tuple with a value, that is not finite and > 0.
+
+    nan fails too: with a nan c or A no bound is below 1, so no row
+    would be judged.  The error names ``key``.
+    """
+    values = value if isinstance(value, tuple) else (value,)
+    if not all(0 < x < math.inf for x in values):
+        raise ValueError(f"{key} must be finite and > 0, got {value}")
+
+
 def azuma_bound(length: int, c: float) -> float:
     """Exponential tail envelope 2 exp(-l c^2 / 2) for a length-l walk."""
     if length < 1:
         raise ValueError("walk length must be >= 1")
-    if c <= 0:
-        raise ValueError("c must be positive")
+    _check_finite_positive("c", c)
     return 2.0 * math.exp(-length * c * c / 2.0)
 
 
@@ -509,8 +519,8 @@ def concentration_bound(region_size: int, n: int, c: float, A: float) -> float:
     """Union envelope 2 |R| exp(-n c^2 / A) over the region's vertices."""
     if region_size < 1 or n < 1:
         raise ValueError("region size and n must be positive")
-    if c <= 0 or A <= 0:
-        raise ValueError("c and A must be positive")
+    _check_finite_positive("c", c)
+    _check_finite_positive("A", A)
     return 2.0 * region_size * math.exp(-n * c * c / A)
 
 
@@ -563,15 +573,23 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("mc", "exact"):
-            raise ValueError(f"mode must be 'mc' or 'exact', got {self.mode!r}")
+        # checked up front: exact mode never reads start, and mc mode
+        # would read it only after building the box and its envelopes
+        for key, allowed in (
+            ("mode", ("mc", "exact")),
+            ("boundary", ("parity", "extremal")),
+            ("direction", (1, -1)),
+            ("start", ("low", "mid")),
+        ):
+            value = getattr(self, key)
+            if value not in allowed:
+                choices = " or ".join(map(repr, allowed))
+                raise ValueError(f"{key} must be {choices}, got {value!r}")
         for key in ("ns", "c_values"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must name at least one value")
-        # with a nan A or c no bound is below 1, so no row would be judged
-        for key, values in (("A", (self.A,)), ("c_values", self.c_values)):
-            if not all(0 < x < math.inf for x in values):
-                raise ValueError(f"{key} must be finite and > 0, got {vars(self)[key]}")
+        _check_finite_positive("A", self.A)
+        _check_finite_positive("c_values", self.c_values)
         _check_sampling_knobs(
             {
                 key: getattr(self, key)
@@ -714,15 +732,14 @@ def _mean_field(
 
 def _sampled_deviations(
     region: Region,
-    pinned: HeightFunction,
     envelopes: _Envelopes,
     config: ExperimentConfig,
     seed_key: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max-over-vertices |h - annealed mean|, one per fresh draw, by MCMC.
 
-    ``envelopes`` is the boundary triple of ``pinned`` (its positions and
-    its minimal and maximal extensions, from
+    ``envelopes`` is the boundary triple of the pinned data (its
+    positions and its minimal and maximal extensions, from
     ``heights._pinned_envelopes``); the potentials live on the window
     between the extensions.  Every chain runs
     under its own potential draw and is burned in for
@@ -742,20 +759,17 @@ def _sampled_deviations(
     burn = max(50, int(round(config.burn_factor * span * span)))
     thin = max(1, int(round(config.thin_factor * span * span)))
     groups = []
-    pots = []
     for tag, chains, first_draw in (
         (1, config.mean_draws, _MEAN_DRAW_OFFSET),
         (2, config.tail_samples, 0),
     ):
-        groups.append((np.random.default_rng([*seed_key, tag]), chains))
-        pots += [
+        rng = np.random.default_rng([*seed_key, tag])
+        pots = [
             sample_potential(config.model, window, draw=first_draw + d)
             for d in range(chains)
         ]
-    eng = BoxGlauber(
-        region, pinned, pots, groups[0][0], start=config.start,
-        _envelopes=[envelopes] * len(groups), _groups=groups,
-    )
+        groups.append((envelopes, rng, pots))
+    eng = BoxGlauber(region, start=config.start, _groups=groups)
     eng.sweep(burn)
     tails = eng._keep_first_group()
     mean, stderr = _mean_field(eng, config.mean_samples_per_draw, thin)
@@ -806,7 +820,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
             samples, stderr_max = 0, 0.0
         else:
             devs, stderr = _sampled_deviations(
-                region, pinned, envelopes, config, (config.seed, n)
+                region, envelopes, config, (config.seed, n)
             )
             tail = lambda thr: float((devs >= thr).mean())
             samples, stderr_max = config.tail_samples, float(stderr.max())
@@ -877,8 +891,7 @@ def scaling_check(
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, boundary_kind, direction)
         devs[n], _ = _sampled_deviations(
-            region, pinned, _pinned_envelopes(region, pinned), config,
-            (seed, 7, tag),
+            region, _pinned_envelopes(region, pinned), config, (seed, 7, tag)
         )
     small = devs[n_small] / n_small
     large = devs[n_large] / n_large

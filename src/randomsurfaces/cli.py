@@ -156,9 +156,7 @@ def _cmd_surface(args) -> int:
         span = window[1] - window[0] + 2
         sweeps = 10 * span * span
     rng = np.random.default_rng([args.seed, 17])
-    eng = sampler.BoxGlauber(
-        region, data, [p], rng, start="low", _envelopes=[envelopes]
-    )
+    eng = sampler.BoxGlauber(region, _groups=[(envelopes, rng, [p])])
     eng.sweep(sweeps)
     grid = eng.heights[0]
     _write_text(args.out, heights.format_grid(grid))

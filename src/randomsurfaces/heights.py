@@ -87,6 +87,15 @@ def _vertex_parity(v: Vertex) -> int:
     return sum(v) & 1
 
 
+def _check_height(v: Vertex, z) -> int:
+    """The height ``z`` at vertex ``v`` as a Python int, once it is an int
+    or a numpy integer: a float, even an integral one, is refused rather
+    than truncated."""
+    if not isinstance(z, (int, np.integer)):
+        raise ValueError(f"height at vertex {v} must be an integer, got {z!r}")
+    return int(z)
+
+
 @dataclass(frozen=True)
 class HeightFunction:
     """An integer-valued function on a finite set of lattice vertices.
@@ -109,6 +118,9 @@ class HeightFunction:
             raise ValueError(
                 "domain must be sorted lexicographically without repeats"
             )
+        if not set(map(type, self.heights)) <= {int}:
+            zs = tuple(map(_check_height, d, self.heights))
+            object.__setattr__(self, "heights", zs)
 
     @classmethod
     def _trusted(
@@ -124,7 +136,8 @@ class HeightFunction:
     @classmethod
     def from_dict(cls, values: Mapping[Vertex, int]) -> "HeightFunction":
         items = sorted(
-            (_check_vertex(v, None), int(z)) for v, z in values.items()
+            (_check_vertex(v, None), _check_height(v, z))
+            for v, z in values.items()
         )
         return cls(tuple(v for v, _ in items), tuple(z for _, z in items))
 
@@ -259,13 +272,12 @@ def _pinned_map(region: Region, pinned: Mapping[Vertex, int]) -> tuple[list, lis
     ) <= {int}
     at = list(map(region._position.get, keys)) if plain else None
     if at is None or None in at:
-        vals = {
-            _check_vertex(v, region.dimension): int(z)
-            for v, z in zip(keys, values)
-        }
+        vals = dict(zip(
+            (_check_vertex(v, region.dimension) for v in keys), values
+        ))
         keys, values = list(vals), vals.values()
         at = list(map(region._position.get, keys))
-    zs = list(map(int, values))
+    zs = list(map(_check_height, keys, values))
     if not keys:
         raise ValueError("pinned data must be nonempty")
     if None in at:

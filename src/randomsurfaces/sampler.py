@@ -19,13 +19,17 @@ Every sampled surface comes from ``BoxGlauber``, a vectorized
 checkerboard-sweep engine on any region in any dimension that runs many
 chains in parallel (heights stored sites-major with the free sites of
 each parity in one contiguous block, so a half-sweep is one neighbour
-gather and one block write).  On a bipartite graph same-parity sites
-have disjoint neighbourhoods, so a half-sweep is a composition of
-commuting single-site heat-bath kernels; ``transition_matrix`` is that
-kernel in exact form.  The decision "take the upper candidate iff
-u < P(upper)" is monotone in the heights, so two chains fed the same
-uniforms keep a pointwise order forever: ``coupled_run`` sweeps such a
-pair as one engine with two single-chain groups.
+gather and one block write).  Its chains form groups, each given as
+one (boundary triple, generator, potentials) value: the group's
+boundary data as ``heights._pinned_envelopes`` returns it, the
+generator its uniforms come from, and one potential per chain.  On a
+bipartite graph same-parity sites have disjoint neighbourhoods, so a
+half-sweep is a composition of commuting single-site heat-bath
+kernels; ``transition_matrix`` is that kernel in exact form.  The
+decision "take the upper candidate iff u < P(upper)" is monotone in
+the heights, so two chains fed the same uniforms keep a pointwise order
+forever: ``coupled_run`` sweeps such a pair as one engine with two
+single-chain groups, one per boundary datum.
 """
 
 from __future__ import annotations
@@ -144,11 +148,10 @@ def coupled_run(
         raise ValueError("coupled chains need a common pinned vertex set")
     if not pin_low.le(pin_high):
         raise ValueError("boundary data must be ordered low <= high")
-    envelopes = [_pinned_envelopes(region, d) for d in (pin_low, pin_high)]
-    groups = [(rng, 1), (copy.deepcopy(rng), 1)]
-    eng = BoxGlauber(
-        region, pin_low, [p, p], rng, _envelopes=envelopes, _groups=groups
-    )
+    eng = BoxGlauber(region, _groups=[
+        (_pinned_envelopes(region, pin_low), rng, [p]),
+        (_pinned_envelopes(region, pin_high), copy.deepcopy(rng), [p]),
+    ])
     free = int((~eng.pinned_mask).sum())
     sweeps = -(-steps // free) if free else 0
     h = eng._h  # (storage rows, 2), written in place by every half-sweep
@@ -221,28 +224,6 @@ def transition_matrix(mu: QuenchedMeasure) -> np.ndarray:
     return P
 
 
-def _check_groups(
-    groups: Sequence[tuple[np.random.Generator, int]], chains: int
-) -> tuple[tuple[np.random.Generator, int], ...]:
-    """``groups`` as (generator, chain count) pairs, once every generator
-    is a numpy ``Generator``, every count is an integer >= 1 and the
-    counts sum to ``chains``."""
-    groups = tuple((g, c) for g, c in groups)
-    for g, c in groups:
-        if not isinstance(g, np.random.Generator):
-            raise ValueError(
-                f"each group needs a numpy Generator, got {type(g).__name__}"
-            )
-        if not isinstance(c, (int, np.integer)) or c < 1:
-            raise ValueError(f"each group needs >= 1 chains, got {c!r}")
-    total = sum(c for _, c in groups)
-    if total != chains:
-        raise ValueError(
-            f"group chain counts sum to {total}, not to the {chains} potentials"
-        )
-    return groups
-
-
 def _check_table_reach(
     nb: np.ndarray, low: np.ndarray, high: np.ndarray, window: tuple[int, int]
 ) -> None:
@@ -285,18 +266,28 @@ class BoxGlauber:
     (batch, sites) block per half-sweep with the sites in vertex order,
     so the random stream depends only on the batch and the region.
 
-    The chains may form consecutive groups, each on its own generator:
-    ``_groups`` is a sequence of (generator, chain count) pairs whose
-    counts sum to ``len(potentials)``, and ``rng`` is then the first
-    group's generator (without ``_groups`` all chains form one group on
-    ``rng``).  Chains never interact, and group g fills its rows of the
-    uniform block with ``generator_g.random((count_g, sites))``, in
-    group order.  So each group's chains and generator pass through
-    exactly the states of a separate engine that holds that group
-    alone, and ``_keep_first_group()``, which drops every other chain,
-    leaves the engine in the state of the first group's own engine.
-    Callers inside the package burn several batches together this way
-    without changing any random stream.
+    The chains form consecutive groups, each under its own boundary data
+    and generator.  ``_groups``, for callers inside the package, is a
+    sequence of (boundary triple, generator, potentials) values, and
+    replaces ``pinned``, ``potentials`` and ``rng``, which are then left
+    out; without it all chains form one group: the triple of ``pinned``,
+    ``rng`` and ``potentials``.  A boundary triple is what
+    ``heights._pinned_envelopes`` returns: the pinned positions in
+    ascending order, and the minimal and maximal extensions as int64
+    arrays aligned with ``region.vertex_list``.  All triples pin one
+    vertex set, and the pinned sites are the first triple's positions.  A
+    group's chain count is the length of its potentials list.  Chains
+    never interact: each group starts from, and is reach-checked against,
+    its own envelopes, its pinned sites keep their values, and group g
+    fills its rows of the uniform block with
+    ``generator_g.random((count_g, sites))``, in group order.  So each
+    group's chains and generator pass through exactly the states of a
+    separate engine that holds that group alone, and
+    ``_keep_first_group()``, which drops every other chain, leaves the
+    engine in the state of the first group's own engine.  The experiments
+    burn their mean-field and tail chains together this way, and
+    ``coupled_run`` runs an ordered pair under two boundary datasets, without
+    changing any random stream.
 
     Heights are stored sites-major, one row of ``batch`` chains per site,
     in the narrowest signed integer type that holds the window +-2.  The
@@ -315,30 +306,23 @@ class BoxGlauber:
     a (batch, *shape) array; on other regions ``shape`` is
     ``(len(region),)``, ``low`` the coordinatewise minimum and both arrays
     follow ``region.vertex_list``.
-
-    ``_envelopes``, for callers inside the package, holds one boundary
-    triple per group, all on ``pinned``'s vertex set: the pinned
-    positions in ascending order, and the minimal and maximal extensions
-    as int64 arrays aligned with ``region.vertex_list``, as
-    ``heights._pinned_envelopes`` returns them (without it every group
-    takes the triple of ``pinned``, computed here).  The pinned sites are
-    the first triple's positions.  Each group starts from, and is
-    reach-checked against, its own envelopes, and its pinned sites keep
-    their values, so groups may run under different boundary data:
-    ``coupled_run`` runs an ordered pair this way.
     """
 
     def __init__(
         self,
         region: Region,
-        pinned: Mapping[Vertex, int],
-        potentials: Sequence[Potential],
-        rng: np.random.Generator,
+        pinned: Mapping[Vertex, int] | None = None,
+        potentials: Sequence[Potential] = (),
+        rng: np.random.Generator | None = None,
         start: str = "low",
         *,
-        _envelopes: Sequence[_Envelopes] | None = None,
-        _groups: Sequence[tuple[np.random.Generator, int]] | None = None,
+        _groups: Sequence[
+            tuple[_Envelopes, np.random.Generator, Sequence[Potential]]
+        ] | None = None,
     ):
+        if _groups is None:
+            _groups = [(_pinned_envelopes(region, pinned), rng, potentials)]
+        potentials = [p for _, _, group in _groups for p in group]
         if not potentials:
             raise ValueError("need at least one potential")
         win = potentials[0].window
@@ -347,18 +331,16 @@ class BoxGlauber:
                 raise ValueError("all potentials must share one window")
         if start not in ("low", "mid"):
             raise ValueError(f"start must be 'low' or 'mid', got {start!r}")
-        if _groups is None:
-            _groups = ((rng, len(potentials)),)
-        self._groups = _check_groups(_groups, len(potentials))
-        if rng is not self._groups[0][0]:
-            raise ValueError("rng must be the first group's generator")
-        if _envelopes is None:
-            _envelopes = [_pinned_envelopes(region, pinned)] * len(self._groups)
-        if len(_envelopes) != len(self._groups):
-            raise ValueError(
-                f"{len(_envelopes)} envelope triples for "
-                f"{len(self._groups)} chain groups"
-            )
+        for _, g, group in _groups:
+            if not isinstance(g, np.random.Generator):
+                raise ValueError(
+                    f"each group needs a numpy Generator, got {type(g).__name__}"
+                )
+            if not group:
+                raise ValueError("each group needs >= 1 potentials, got none")
+        # (generator, chain count) per group, as half-sweeps draw
+        self._groups = tuple((g, len(group)) for _, g, group in _groups)
+        envelopes = [env for env, _, _ in _groups]
 
         coords = region._coords
         lows, highs = region._bounds()
@@ -368,14 +350,14 @@ class BoxGlauber:
         self.low = tuple(lows)
         self.shape = sides if region.is_box() else (len(region),)
         pinned_flat = np.zeros(len(region), dtype=bool)
-        pinned_flat[_envelopes[0][0]] = True
+        pinned_flat[envelopes[0][0]] = True
         self.pinned_mask = pinned_flat.reshape(self.shape)
 
         parity = coords.sum(axis=1) % 2
         # per distinct envelope triple (groups may share one): its
         # envelopes and the start they give
         starts = {}
-        for env in _envelopes:
+        for env in envelopes:
             if id(env) in starts:
                 continue
             # the window must cover every edge minimum between the envelopes
@@ -406,7 +388,7 @@ class BoxGlauber:
             t for t in (np.int8, np.int16, np.int32, np.int64)
             if np.iinfo(t).min <= win[0] - 2 and win[1] + 2 <= np.iinfo(t).max
         )
-        inits = [starts[id(env)][2][order].astype(dtype) for env in _envelopes]
+        inits = [starts[id(env)][2][order].astype(dtype) for env in envelopes]
         self._h = np.repeat(
             np.stack(inits, axis=1), [c for _, c in self._groups], axis=1
         )

@@ -697,6 +697,16 @@ class TestTailBounds:
         with pytest.raises(ValueError):
             concentration_bound(81, 9, 1.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bounds_reject_a_c_or_A_not_finite_and_positive(self, bad):
+        # a nan bound is never below 1, so a caller would judge no row
+        with pytest.raises(ValueError, match="c must be finite and > 0"):
+            azuma_bound(3, bad)
+        with pytest.raises(ValueError, match="c must be finite and > 0"):
+            concentration_bound(9, 3, bad, 2.0)
+        with pytest.raises(ValueError, match="A must be finite and > 0"):
+            concentration_bound(9, 3, 1.0, bad)
+
     def test_bounds_decrease_in_c(self):
         cs = [0.25, 0.5, 1.0, 2.0, 4.0]
         azuma = [azuma_bound(5, c) for c in cs]
@@ -761,6 +771,11 @@ class TestBoundaryDataAndConfig:
             ("c_values", (float("nan"),)),
             ("c_values", (1.0, float("inf"))),
             ("c_values", (-0.5,)),
+            ("start", "high"),
+            ("boundary", "steep"),
+            ("direction", 2),
+            ("direction", 0),
+            ("mode", "sampled"),
         ],
     )
     def test_experiment_rejects_bad_counts(self, key, value):
@@ -961,7 +976,7 @@ class TestJointBurn:
             thin_factor=0.05, start=start,
         )
         devs, stderr = analysis._sampled_deviations(
-            region, pinned, envelopes, config, seed_key
+            region, envelopes, config, seed_key
         )
         want_devs, want_stderr = two_engine_deviations(
             region, pinned, envelopes, config, seed_key

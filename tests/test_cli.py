@@ -435,6 +435,34 @@ class TestConcentration:
         assert err.startswith(f"error: bad config value: {key} must be finite")
         assert out == "" and not out_file.exists()
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("start", "high"), ("boundary", "steep"), ("direction", "2")],
+    )
+    def test_unknown_choice_exits_1_before_any_work(
+        self, tmp_path, capsys, monkeypatch, mode, key, value
+    ):
+        # exact mode never reads start, so start = high used to exit 0
+        from randomsurfaces import analysis
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a box before checking the config")
+
+        monkeypatch.setattr(analysis, "make_box", no_work)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"ns = 3\nmodel = twopoint:a=1\nmode = {mode}\n{key} = {value}\n"
+        )
+        out_file = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "concentration", "--config", str(cfg),
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert err.startswith(f"error: bad config value: {key} must be ")
+        assert out == "" and not out_file.exists()
+
     def test_flag_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(self.CONFIG)

@@ -172,6 +172,24 @@ class TestHeightFunction:
         with pytest.raises(ValueError, match="sorted"):
             HeightFunction(((0, 1), (0, 0)), (1, 0))
 
+    @pytest.mark.parametrize("z", [0.5, 1.7, 2.0, np.float64(2.0), "2", None])
+    def test_non_integer_heights_rejected(self, z):
+        # a float was truncated (1.7 stored as 1) or kept (0.5, whose
+        # shift by 2 gave 2.5); the error names the vertex
+        match = r"height at vertex \(1,\) must be an integer"
+        with pytest.raises(ValueError, match=match):
+            HeightFunction(((0,), (1,)), (0, z))
+        with pytest.raises(ValueError, match=match):
+            HeightFunction.from_dict({(0,): 0, (1,): z})
+
+    def test_numpy_integer_heights_become_python_ints(self):
+        for f in (
+            HeightFunction(((0,), (1,)), (np.int64(0), np.int8(1))),
+            HeightFunction.from_dict({(0,): np.int32(0), (1,): np.uint8(1)}),
+        ):
+            assert f.heights == (0, 1)
+            assert {type(z) for z in f.heights} == {int}
+
 
 class TestParity:
     def test_parity_height_values(self):
@@ -282,6 +300,18 @@ class TestPinnedValidation:
         top = {(0,): 2**63 - 2, (1,): 2**63 - 1}
         assert is_parity_homomorphism(top)
         assert _pinned_map(path, top) == ([0, 1], [2**63 - 2, 2**63 - 1])
+
+    @pytest.mark.parametrize("z", [0.9, 2.0, np.float64(2.0)])
+    def test_non_integer_values_are_rejected(self, z):
+        # 0.9 was read as 0: the path 0..2 then had the extension 0, 1, 2
+        path = make_box((0,), (2,))
+        match = r"height at vertex \(0,\) must be an integer"
+        for data in ({(0,): z, (2,): 2}, {(np.int64(0),): z, (2,): 2}):
+            with pytest.raises(ValueError, match=match):
+                _pinned_map(path, data)
+            with pytest.raises(ValueError, match=match):
+                min_max_extensions(path, data)
+        assert _pinned_map(path, {(0,): np.int16(0), (2,): 2}) == ([0, 2], [0, 2])
 
     def test_values_outside_int64_are_rejected(self):
         with pytest.raises(ValueError, match="int64"):

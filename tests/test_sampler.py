@@ -771,9 +771,9 @@ def two_groups(region, pinned, kind, start, sizes=(3, 5)):
         for g, c in enumerate(sizes)
     ]
     gens = [np.random.default_rng([31, g]) for g in range(2)]
+    env = _pinned_envelopes(region, pinned)
     joint = BoxGlauber(
-        region, pinned, pots[0] + pots[1], gens[0], start=start,
-        _groups=list(zip(gens, sizes)),
+        region, start=start, _groups=[(env, g, p) for g, p in zip(gens, pots)]
     )
     alone_gens = [np.random.default_rng([31, g]) for g in range(2)]
     alone = [
@@ -802,6 +802,27 @@ class TestChainGroups:
         want = np.concatenate([eng.height_matrix() for eng in alone])
         assert np.array_equal(joint.height_matrix(), want)
         assert states(gens) == states(alone_gens)
+
+    @pytest.mark.parametrize("kind", ["twopoint", "uniform"])
+    @pytest.mark.parametrize("region,pinned", GROUP_CASES, ids=GROUP_IDS)
+    def test_coupled_pair_equals_two_separate_engines(self, region, pinned, kind):
+        # the pair's groups run under different boundary triples: each
+        # is the single-group engine of its own datum, on a generator in
+        # the state the pair's generator starts in
+        high = {v: z + 2 for v, z in pinned.items()}
+        (p,) = window_potentials(region, high, [(kind, 1.0, 5, 0)], pad=2)
+        sweeps = 7
+        rng = np.random.default_rng(12)
+        pair = coupled_run(
+            region, pinned, high, p,
+            sweeps * (len(region) - len(pinned)), rng,
+        )
+        for f, datum in zip(pair, (pinned, high)):
+            alone_rng = np.random.default_rng(12)
+            alone = BoxGlauber(region, datum, [p], alone_rng)
+            alone.sweep(sweeps)
+            assert [list(f.heights)] == alone.height_matrix().tolist()
+            assert rng.bit_generator.state == alone_rng.bit_generator.state
 
     @pytest.mark.parametrize("region,pinned", GROUP_CASES, ids=GROUP_IDS)
     def test_narrowed_engine_equals_first_group_alone(self, region, pinned):
@@ -893,20 +914,22 @@ class TestChainGroups:
     @pytest.mark.parametrize(
         "groups,match",
         [
-            (lambda g: [(g, 2), (np.random.RandomState(0), 2)], "Generator"),
-            (lambda g: [(g, 4), (np.random.default_rng(1), 0)], ">= 1"),
-            (lambda g: [(g, 2.0), (np.random.default_rng(1), 2)], ">= 1"),
-            (lambda g: [(g, 1), (np.random.default_rng(1), 2)], "sum to 3"),
-            (lambda g: [(g, 2), (np.random.default_rng(1), 3)], "sum to 5"),
-            (lambda g: [], "sum to 0"),
-            (lambda g: [(np.random.default_rng(1), 4)], "first group"),
+            (lambda e, g, p: [(e, g, p[:2]),
+                              (e, np.random.RandomState(0), p[2:])],
+             "Generator"),
+            (lambda e, g, p: [(e, g, p), (e, np.random.default_rng(1), [])],
+             ">= 1"),
+            (lambda e, g, p: [(e, g, []), (e, np.random.default_rng(1), p)],
+             ">= 1"),
+            (lambda e, g, p: [], "at least one potential"),
         ],
     )
     def test_rejects_bad_groups(self, groups, match):
         pots = group_potentials(L_SHAPE, L_PINS, "uniform", 0, 4)
+        env = _pinned_envelopes(L_SHAPE, L_PINS)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match=match):
-            BoxGlauber(L_SHAPE, L_PINS, pots, rng, _groups=groups(rng))
+            BoxGlauber(L_SHAPE, _groups=groups(env, rng, pots))
 
     def test_rejects_a_non_generator_rng(self):
         pots = group_potentials(L_SHAPE, L_PINS, "uniform", 0, 2)
@@ -946,10 +969,13 @@ class TestTableReach:
         fake = np.array([0, 1, 0, 1, 0])
         p = Potential(-2, 0, np.zeros(3))
         with pytest.raises(ValueError, match=r"reach \[-1, 1\]"):
-            BoxGlauber(PATH5, pinned, [p], np.random.default_rng(0),
-                       _envelopes=[(at, low, fake)])
-        BoxGlauber(PATH5, pinned, [Potential(-2, 1, np.zeros(4))],
-                   np.random.default_rng(0), _envelopes=[(at, low, high)])
+            BoxGlauber(PATH5, _groups=[
+                ((at, low, fake), np.random.default_rng(0), [p])
+            ])
+        BoxGlauber(PATH5, _groups=[
+            ((at, low, high), np.random.default_rng(0),
+             [Potential(-2, 1, np.zeros(4))])
+        ])
 
     def test_each_group_is_checked_against_its_own_envelopes(self):
         # (low, low) fits the window [-2, 0]; the second group's pair is
@@ -958,12 +984,9 @@ class TestTableReach:
         at, low, _ = _pinned_envelopes(PATH5, pinned)
         fake = np.array([0, 1, 0, 1, 0])
         p = Potential(-2, 0, np.zeros(3))
-        rng = np.random.default_rng(0)
-        groups = [(rng, 1), (np.random.default_rng(0), 1)]
-        BoxGlauber(PATH5, pinned, [p], rng, _envelopes=[(at, low, low)])
+        fits = ((at, low, low), np.random.default_rng(0), [p])
+        BoxGlauber(PATH5, _groups=[fits])
         with pytest.raises(ValueError, match=r"reach \[-1, 1\]"):
-            BoxGlauber(PATH5, pinned, [p, p], rng, _groups=groups,
-                       _envelopes=[(at, low, low), (at, low, fake)])
-        with pytest.raises(ValueError, match="2 chain groups"):
-            BoxGlauber(PATH5, pinned, [p, p], rng, _groups=groups,
-                       _envelopes=[(at, low, low)])
+            BoxGlauber(PATH5, _groups=[
+                fits, ((at, low, fake), np.random.default_rng(0), [p])
+            ])

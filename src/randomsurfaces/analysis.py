@@ -27,12 +27,12 @@ from .gibbs import (
     annealed_expectation,
     annealed_member_probabilities,
     quenched_measure,
-    required_window,
 )
 from .heights import (
     ExtensionSet,
     HeightFunction,
     _Envelopes,
+    _check_nonempty,
     _envelope_window,
     _pinned_envelopes,
     as_height_function,
@@ -302,27 +302,28 @@ def dominance_sweep(
 
     Each pair (low data, high data) must be pinned on a common vertex
     set with low <= high pointwise; both measures see the same potential
-    realization per draw.
+    realization per draw.  Data that admits no extension raises
+    NoExtensionError before the pair's first draw.
     """
     checks = 0
     max_err = 0.0
     failures = []
     for k, (pin_low, pin_high) in enumerate(pinned_pairs):
-        low_f = as_height_function(pin_low)
-        high_f = as_height_function(pin_high)
-        if low_f.domain != high_f.domain:
+        sup_low = enumerate_extensions(region, pin_low)
+        sup_high = enumerate_extensions(region, pin_high)
+        if sup_low.pinned.domain != sup_high.pinned.domain:
             raise ValueError(f"pair {k}: pinned sets differ")
-        if not low_f.le(high_f):
+        if not sup_low.pinned.le(sup_high.pinned):
             raise ValueError(f"pair {k}: boundary data not ordered")
-        sup_low = enumerate_extensions(region, low_f)
-        sup_high = enumerate_extensions(region, high_f)
-        lo1, hi1 = required_window(region, low_f)
-        lo2, hi2 = required_window(region, high_f)
+        _check_nonempty(sup_low)
+        _check_nonempty(sup_high)
+        lo1, hi1 = _envelope_window(sup_low._boundary)
+        lo2, hi2 = _envelope_window(sup_high._boundary)
         window = (min(lo1, lo2), max(hi1, hi2))
         for d in range(draws):
             p = sample_potential(model, window, draw=first_draw + d)
-            mu = quenched_measure(region, low_f, p, support=sup_low)
-            nu = quenched_measure(region, high_f, p, support=sup_high)
+            mu = quenched_measure(region, pin_low, p, support=sup_low)
+            nu = quenched_measure(region, pin_high, p, support=sup_high)
             cert = dominance_certificate(mu, nu)
             checks += 1
             if cert.dominated:
@@ -809,16 +810,17 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, config.boundary, config.direction)
         diam, max_l = _check_hypotheses(region, n, config.A)
-        envelopes = _pinned_envelopes(region, pinned)
         # each mode gives the max deviations and its tail rule at a threshold
         if config.mode == "exact":
             support = enumerate_extensions(region, pinned)
+            envelopes = support._boundary
             probs = annealed_member_probabilities(support, config.model)
             vals = support.members_array.astype(float)
             devs = np.abs(vals - probs @ vals).max(axis=1)
             tail = lambda thr: float(probs[devs >= thr].sum())
             samples, stderr_max = 0, 0.0
         else:
+            envelopes = _pinned_envelopes(region, pinned)
             devs, stderr = _sampled_deviations(
                 region, envelopes, config, (config.seed, n)
             )

@@ -118,10 +118,7 @@ def _cmd_enumerate(args) -> int:
         support = heights.enumerate_extensions(region, data)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    if len(support) == 0:
-        raise heights.NoExtensionError(
-            *heights.kirszbraun_violation(region, data)
-        )
+    heights._check_nonempty(support)
     print(f"extensions: {len(support)}")
     if args.list:
         print("vertices: " + "  ".join(_fmt_vertex(v) for v in region))
@@ -268,10 +265,11 @@ def _verify_dominance(args) -> list[str]:
             f"coupling marginal error {sweep.max_marginal_error:.3e} > 1e-9"
         )
     # reversed data must be caught
-    wlo, whi = gibbs.required_window(region, ring)
+    support = heights.enumerate_extensions(region, ring)
+    wlo, whi = heights._envelope_window(support._boundary)
     p = potential.sample_potential(model, (wlo, whi + 4), draw=0)
     mu = gibbs.quenched_measure(region, ring.shift(2), p)
-    nu = gibbs.quenched_measure(region, ring, p)
+    nu = gibbs.quenched_measure(region, ring, p, support)
     cert = analysis.dominance_certificate(mu, nu)
     if cert.dominated or cert.witness is None:
         raise VerificationFailure(

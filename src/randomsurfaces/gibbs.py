@@ -22,12 +22,10 @@ import numpy as np
 from .heights import (
     ExtensionSet,
     HeightFunction,
-    NoExtensionError,
+    _check_nonempty,
     _envelope_window,
     _pinned_envelopes,
-    as_height_function,
     enumerate_extensions,
-    kirszbraun_violation,
 )
 from .lattice import Region, Vertex, induced_edges, outer_extension
 from .potential import (
@@ -189,8 +187,7 @@ def quenched_measure(
     """
     if support is None:
         support = enumerate_extensions(region, pinned)
-    if len(support) == 0:
-        raise NoExtensionError(*kirszbraun_violation(region, pinned))
+    _check_nonempty(support)
     lw = _hamiltonians(support, p.values, p.lo)
     return QuenchedMeasure(support, p, lw, float(_logsumexp(lw)))
 
@@ -226,7 +223,8 @@ def _annealed_weights_by_potential(
     Returns (prob_matrix, pot_weights): prob_matrix[i, j] is the quenched
     probability of member j under potential i.
     """
-    lo, hi = required_window(support.region, support.pinned)
+    _check_nonempty(support)
+    lo, hi = _envelope_window(support._boundary)
     if mode == "exact":
         pots = enumerate_potentials(model, (lo, hi))
         values = np.stack([p.values for p, _ in pots])
@@ -273,8 +271,6 @@ def annealed_expectation(
     independent draws and reports the standard error of the mean.
     """
     support = enumerate_extensions(region, pinned)
-    if len(support) == 0:
-        raise NoExtensionError(*kirszbraun_violation(region, pinned))
     fvals = np.asarray([f(g) for g in support], dtype=np.float64)
     probs, weights = _annealed_weights_by_potential(
         support, model, mode, samples, first_draw
@@ -331,7 +327,7 @@ def check_relative_complement_identity(
     support = mu.support
     if set(support.pinned.domain) != {tuple(v) for v in sub}:
         raise ValueError("sub must be the pinned vertex set")
-    touch = _active_edges(region, support._pinned_positions)
+    touch = _active_edges(region, support._boundary[0])
     lw = _hamiltonians(support, p.values, p.lo, touch)
     local_probs = np.exp(lw - _logsumexp(lw))
     return float(
@@ -356,11 +352,10 @@ def check_shift_identity(
     raised data is always enumerated afresh, so that the member
     alignment below is a real check.
     """
-    base = as_height_function(pinned)
-    raised = base.shift(2)
-
-    mu_raised = quenched_measure(region, raised, p)
-    mu_base = quenched_measure(region, base, shift_even(p, 2), support)
+    if support is None:
+        support = enumerate_extensions(region, pinned)
+    mu_raised = quenched_measure(region, support.pinned.shift(2), p)
+    mu_base = quenched_measure(region, support.pinned, shift_even(p, 2), support)
     if len(mu_raised) != len(mu_base):
         raise AssertionError("shifted extension sets differ in size")
     # lexicographic member order is preserved by the constant shift
@@ -494,11 +489,11 @@ def identity_check_suite(samples: int = 100, seed: int = 0) -> IdentitySuiteResu
             if trial % 2
             else PotentialModel("twopoint", 1.0, seed + 2)
         )
-        wlo, whi = required_window(region, data)
-        p = sample_potential(model, (wlo, whi + 2), draw=trial)
         support = enumerate_extensions(region, data)
+        wlo, whi = _envelope_window(support._boundary)
+        p = sample_potential(model, (wlo, whi + 2), draw=trial)
         # the localized route omits an edge's weight as constant
-        nontrivial += not _active_edges(region, support._pinned_positions).all()
+        nontrivial += not _active_edges(region, support._boundary[0]).all()
         worst_rel = max(
             worst_rel,
             check_relative_complement_identity(

@@ -13,11 +13,12 @@ validated once (``_pinned_map``) into its region positions in ascending
 order, which is the lexicographic vertex order, with their values as
 Python ints.  Its envelopes, the minimal and maximal extensions, are
 int64 arrays aligned with ``region.vertex_list``; ``_pinned_envelopes``
-returns (positions, low, high), and the sampler, the Gibbs layer, the
-experiments and the CLI pass that triple on as it is.  ``HeightFunction``
-is the form of the public API and of the height files only: public
-functions such as ``min_max_extensions`` wrap the arrays in it when they
-return.
+returns (positions, low, high), and the sampler, the experiments and the
+CLI pass that triple on as it is.  Each ``ExtensionSet`` keeps the triple
+it was enumerated from, and the exact layer reads the pinned positions,
+the potential window and the witness of an empty set there.
+``HeightFunction`` is the form of the public API and of the height files
+only: public functions wrap the arrays in it when they return.
 """
 
 from __future__ import annotations
@@ -213,19 +214,15 @@ def is_parity_homomorphism(values: Mapping[Vertex, int]) -> bool:
     """
     if not values:
         raise ValueError("empty value map")
-    for v, z in values.items():
-        if (int(z) - _vertex_parity(tuple(v))) % 2 != 0:
-            return False
-    vals = {tuple(v): int(z) for v, z in values.items()}
-    for x, y in induced_edges(vals.keys()):
-        if abs(vals[x] - vals[y]) != 1:
-            return False
-    return True
+    vals = {tuple(v): _check_height(v, z) for v, z in values.items()}
+    if any((z - _vertex_parity(v)) % 2 for v, z in vals.items()):
+        return False
+    return all(abs(vals[x] - vals[y]) == 1 for x, y in induced_edges(vals))
 
 
 def validate(region: Region, f: Mapping[Vertex, int]) -> bool:
     """True iff ``f`` is a height function defined on all of ``region``."""
-    vals = {tuple(v): int(z) for v, z in f.items()}
+    vals = {tuple(v): _check_height(v, z) for v, z in f.items()}
     if set(vals) != set(region.vertex_set):
         raise ValueError("function domain does not match the region")
     at = list(map(region._position.__getitem__, vals))
@@ -371,12 +368,23 @@ def _pinned_envelopes(region: Region, pinned: Mapping[Vertex, int]) -> _Envelope
     """
     at, zs = _pinned_map(region, pinned)
     low, high = _envelopes(region, at, zs)
+    _check_extendable(region, at, zs, low, high)
+    return at, low, high
+
+
+def _check_extendable(region: Region, at, zs, low, high) -> None:
+    """Raise NoExtensionError, with ``_first_violation``'s witness, if low > high."""
     if (low > high).any():
         witness = _first_violation(region, at, zs, low, high)
         if witness is None:  # unreachable given low > high somewhere
             raise AssertionError("inconsistent envelope without metric witness")
         raise NoExtensionError(*witness)
-    return at, low, high
+
+
+def _check_nonempty(support: ExtensionSet) -> None:
+    """Raise NoExtensionError, with its witness, if ``support`` is empty."""
+    at, low, high = support._boundary
+    _check_extendable(support.region, at, support.pinned.heights, low, high)
 
 
 def _envelope_window(envelopes: _Envelopes) -> tuple[int, int]:
@@ -483,12 +491,15 @@ class ExtensionSet:
     ``members_array`` is the int64 height array (read-only, built once);
     ``members`` is a lazy ``MemberView`` that builds a new HeightFunction
     on each access, so code that needs only heights should read rows.
+    ``_boundary`` is ``pinned``'s boundary triple (positions, low, high),
+    which the exact layer reads; low > high somewhere if the set is empty.
     """
 
     region: Region
     pinned: HeightFunction
     offsets: np.ndarray = field(repr=False)
     base: int = 0
+    _boundary: _Envelopes | None = field(default=None, repr=False, kw_only=True)
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -507,11 +518,6 @@ class ExtensionSet:
         arr = _heights(self.offsets, self.base)
         arr.flags.writeable = False
         return arr
-
-    @cached_property
-    def _pinned_positions(self) -> list[int]:
-        """Region positions of the pinned vertices, ascending."""
-        return list(map(self.region._position.__getitem__, self.pinned.domain))
 
     def index_of(self, member: HeightFunction) -> int:
         try:
@@ -555,11 +561,14 @@ def enumerate_extensions(
     integer type that holds the window.
     """
     at, zs = _pinned_map(region, pinned)
-    pinned_f = as_height_function(pinned)
-    n = len(region.vertex_list)
+    vs = region.vertex_list
+    pinned_f = HeightFunction._trusted(tuple(map(vs.__getitem__, at)), tuple(zs))
+    n = len(vs)
     env_low, env_high = _envelopes(region, at, zs)
+    boundary = (at, env_low, env_high)
     if (env_low > env_high).any():  # exactly when a pinned gap is too wide
-        return ExtensionSet(region, pinned_f, np.empty((0, n), dtype=np.int8))
+        empty = np.empty((0, n), dtype=np.int8)
+        return ExtensionSet(region, pinned_f, empty, _boundary=boundary)
 
     base = int(env_low.min())
     low = (env_low - base).tolist()
@@ -593,7 +602,7 @@ def enumerate_extensions(
             partials[:, i] = np.tile(cand, len(partials) // len(cand))
 
     partials.flags.writeable = False
-    return ExtensionSet(region, pinned_f, partials, base)
+    return ExtensionSet(region, pinned_f, partials, base, _boundary=boundary)
 
 
 def extremal_boundary(

@@ -12,8 +12,8 @@ lattice those neighbours share a parity, so their heights span 0 or 2:
 This closed form is the module's one heat-bath rule.  It reads P(up)
 from one table per potential, indexed by k and z, built with the
 logistic function expit(t) = 1 / (1 + exp(-t)) in libm's ``exp``
-through ``math.exp`` (overflow gives 0, so any finite potential is
-safe), once per distinct argument.
+through ``math.exp`` (overflow gives 0, and steps are clipped to stay
+finite, so any finite potential is safe), once per distinct argument.
 
 Every sampled surface comes from ``BoxGlauber``, a vectorized
 checkerboard-sweep engine on any region in any dimension that runs many
@@ -47,7 +47,6 @@ from .heights import (
     _Envelopes,
     _envelope_window,
     _pinned_envelopes,
-    as_height_function,
 )
 from .lattice import Region, Vertex
 from .potential import Potential
@@ -95,9 +94,12 @@ def _flip_table(values: np.ndarray, kmax: int) -> np.ndarray:
     need omega_{lo-1}: it holds 1/2 and is read only by forced updates,
     which ignore it.
     """
-    step = np.diff(values, axis=-1, prepend=values[..., :1])
+    with np.errstate(over="ignore"):  # a step past the float range is +-inf
+        step = np.diff(values, axis=-1, prepend=values[..., :1])
     k = np.arange(kmax + 1, dtype=np.float64)[:, None]
-    return _expit(k * step[..., None, :])
+    # beyond +-1e300 every row k >= 1 already reads exactly 0 or 1, and
+    # the clip keeps k * step finite
+    return _expit(k * np.clip(step, -1e300, 1e300, out=step)[..., None, :])
 
 
 def _neighbor_slots(region: Region, sites: np.ndarray):
@@ -122,8 +124,8 @@ def coupled_run(
 ) -> tuple[HeightFunction, HeightFunction]:
     """Evolve two heat-bath chains on shared uniforms, one per datum.
 
-    Boundary data must be pinned on the same vertex set and ordered
-    (low <= high pointwise).  The pair is one ``BoxGlauber`` with two
+    Boundary data must be extendable, pinned on the same vertex set and
+    ordered (low <= high pointwise).  The pair is one ``BoxGlauber`` with two
     single-chain groups, each started at the minimal extension of its
     own datum: the first group draws from ``rng``, the second from a
     copy of it in the same state, so both chains see the same uniforms
@@ -142,16 +144,14 @@ def coupled_run(
         ) from None
     if steps < 0:
         raise ValueError(f"number of steps must be >= 0, got {steps}")
-    pin_low = as_height_function(pinned_low)
-    pin_high = as_height_function(pinned_high)
-    if pin_low.domain != pin_high.domain:
+    env_low = _pinned_envelopes(region, pinned_low)
+    env_high = _pinned_envelopes(region, pinned_high)
+    if env_low[0] != env_high[0]:
         raise ValueError("coupled chains need a common pinned vertex set")
-    if not pin_low.le(pin_high):
+    if (env_low[1] > env_high[1])[env_low[0]].any():  # the pinned values
         raise ValueError("boundary data must be ordered low <= high")
-    eng = BoxGlauber(region, _groups=[
-        (_pinned_envelopes(region, pin_low), rng, [p]),
-        (_pinned_envelopes(region, pin_high), copy.deepcopy(rng), [p]),
-    ])
+    groups = [(env_low, rng, [p]), (env_high, copy.deepcopy(rng), [p])]
+    eng = BoxGlauber(region, _groups=groups)
     free = int((~eng.pinned_mask).sum())
     sweeps = -(-steps // free) if free else 0
     h = eng._h  # (storage rows, 2), written in place by every half-sweep
@@ -195,9 +195,7 @@ def transition_matrix(mu: QuenchedMeasure) -> np.ndarray:
     """
     support = mu.support
     region = support.region
-    pinned = np.zeros(len(region), dtype=bool)
-    pinned[support._pinned_positions] = True
-    free = np.flatnonzero(~pinned)
+    free = np.setdiff1d(np.arange(len(region)), support._boundary[0])
     if not free.size:
         return np.eye(len(support))
     h = support.members_array

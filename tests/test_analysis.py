@@ -56,6 +56,7 @@ from randomsurfaces.gibbs import (
 )
 from randomsurfaces.heights import (
     HeightFunction,
+    NoExtensionError,
     enumerate_extensions,
     extremal_boundary,
     kirszbraun_violation,
@@ -318,6 +319,57 @@ class TestDominanceSweep:
                 BOX3, [(RING3, RING3.shift(2).restrict([(0, 0)]))],
                 PotentialModel("uniform", 1.0), draws=1,
             )
+
+    @pytest.mark.parametrize("draws", [0, 1])
+    def test_infeasible_data_raises_before_any_draw(self, draws):
+        gap = {(0, 1): 1, (2, 1): 5}  # gap 4 across distance 2
+        pairs = [(RING3, RING3.shift(2)), (gap, {(0, 1): 3, (2, 1): 7})]
+        with pytest.raises(NoExtensionError) as err:
+            dominance_sweep(BOX3, pairs, PotentialModel("uniform", 1.0), draws)
+        e = err.value
+        assert (e.x, e.y, e.gap, e.distance) == ((0, 1), (2, 1), 4, 2)
+
+
+def count_boundary_reads(monkeypatch):
+    """Count pinned-data validations and distance passes, through every
+    module that calls them."""
+    calls = {"pinned_map": 0, "distances": 0}
+    pinned_map, distances = heights._pinned_map, lattice._distances
+
+    def counting_map(region, pinned):
+        calls["pinned_map"] += 1
+        return pinned_map(region, pinned)
+
+    def counting_distances(region, at, zs):
+        calls["distances"] += 1
+        return distances(region, at, zs)
+
+    monkeypatch.setattr(heights, "_pinned_map", counting_map)
+    for mod in (analysis, heights, lattice):
+        monkeypatch.setattr(mod, "_distances", counting_distances)
+    return calls
+
+
+class TestBoundaryReadOnce:
+    """Exact consumers read the pinned positions, the potential window
+    and the infeasibility witness from the triple each ExtensionSet keeps,
+    and validate no pinned data a second time."""
+
+    def test_annealing_an_enumerated_set(self, monkeypatch):
+        calls = count_boundary_reads(monkeypatch)
+        support = enumerate_extensions(BOX3, RING3)
+        annealed_member_probabilities(support, PotentialModel("twopoint", 1.0, 1))
+        assert calls == {"pinned_map": 1, "distances": 2}
+
+    def test_dominance_sweep(self, monkeypatch):
+        calls = count_boundary_reads(monkeypatch)
+        pairs = [(RING3, RING3.shift(2)), (RING3, RING3.shift(4)),
+                 (RING3.shift(-2), RING3)]
+        sweep = dominance_sweep(
+            BOX3, pairs, PotentialModel("uniform", 1.0, 5), draws=2
+        )
+        assert sweep.checks == 6
+        assert calls["pinned_map"] == 2 * len(pairs)
 
 
 class TestTwoPointComparison:

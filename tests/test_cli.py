@@ -15,7 +15,8 @@ import pytest
 
 from randomsurfaces import cli
 from randomsurfaces.cli import main, parse_config
-from randomsurfaces.heights import parse_grid
+from randomsurfaces.heights import parse_grid, validate
+from randomsurfaces.lattice import make_box
 
 RING_FILE = "2\n0 0 0\n0 1 1\n0 2 0\n1 0 1\n1 2 1\n2 0 0\n2 1 1\n2 2 0\n"
 GAP_FILE = "2\n0 1 1\n2 1 5\n"
@@ -136,6 +137,38 @@ class TestEnumerate:
         )
         assert code == 1
 
+    def test_infeasible_witness_matches_kirszbraun(
+        self, metric_instances, tmp_path, capsys
+    ):
+        from randomsurfaces.heights import (
+            HeightFunction,
+            kirszbraun_violation,
+            write_heights,
+        )
+        from randomsurfaces.lattice import write_region
+
+        region_file, data_file = tmp_path / "r.region", tmp_path / "d.heights"
+        fmt = lambda v: "(" + ",".join(map(str, v)) + ")"
+        checked = 0
+        for region, pins, _ in metric_instances:
+            want = kirszbraun_violation(region, pins)
+            if want is None:
+                continue
+            write_region(region_file, region)
+            write_heights(data_file, HeightFunction.from_dict(pins))
+            code, out, _ = run(
+                capsys, "enumerate", "--region-file", str(region_file),
+                "--boundary-file", str(data_file),
+            )
+            x, y, gap, dist = want
+            assert code == 2
+            assert out == (
+                f"infeasible boundary: |h({fmt(x)}) - h({fmt(y)})| = {gap} "
+                f"exceeds graph distance {dist}\n"
+            )
+            checked += 1
+        assert checked > 100
+
 
 class TestSurface:
     def test_zero_steps_writes_minimal_extension(self, tmp_path, capsys):
@@ -205,6 +238,20 @@ class TestSurface:
         assert code == 1
         assert out == "" and err == f"error: {message}\n"
         assert not out_file.exists()
+
+    def test_potentials_near_the_float_range(self, tmp_path, capsys):
+        # steps of +-2e308 leave the float range; the P(up) table
+        # saturates without a RuntimeWarning, which this suite makes an
+        # error
+        out_file = tmp_path / "w.txt"
+        code, _, _ = run(
+            capsys, "surface", "--n", "5", "--model", "uniform:b=1e308",
+            "--sweeps", "3", "--out", str(out_file),
+        )
+        assert code == 0
+        grid = parse_grid(out_file.read_text())
+        region = make_box((0, 0), (4, 4))
+        assert validate(region, dict(zip(region.vertex_list, grid.ravel().tolist())))
 
     def test_small_n_rejected(self, capsys):
         code, _, err = run(

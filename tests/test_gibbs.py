@@ -42,6 +42,7 @@ from randomsurfaces.heights import (
     HeightFunction,
     NoExtensionError,
     enumerate_extensions,
+    kirszbraun_violation,
     parity_height,
 )
 from randomsurfaces.lattice import Region, boundary, make_box, relative_boundary
@@ -259,6 +260,33 @@ class TestQuenchedMeasure:
             quenched_measure(PATH5, pin, p)
         with pytest.raises(IndexError, match="outside potential window"):
             check_relative_complement_identity(PATH5, pin, pin, p)
+
+
+class TestInfeasibleWitness:
+    def test_exact_consumers_name_the_kirszbraun_pair(self, metric_instances):
+        # the witness is read off the envelopes the support was
+        # enumerated from, and is the pair kirszbraun_violation names
+        p = Potential(-20, 20, np.zeros(41))
+        model = PotentialModel("twopoint", 1.0, 3)
+        infeasible = 0
+        for region, pins, _ in metric_instances:
+            want = kirszbraun_violation(region, pins)
+            if want is None:
+                continue
+            infeasible += 1
+            support = enumerate_extensions(region, pins)
+            calls = (
+                lambda: quenched_measure(region, pins, p),
+                lambda: quenched_measure(region, pins, p, support),
+                lambda: annealed_member_probabilities(support, model),
+                lambda: annealed_expectation(region, pins, model, len),
+            )
+            for call in calls:
+                with pytest.raises(NoExtensionError) as err:
+                    call()
+                e = err.value
+                assert (e.x, e.y, e.gap, e.distance) == want
+        assert infeasible > 100
 
 
 class TestRequiredWindow:

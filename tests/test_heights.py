@@ -42,7 +42,7 @@ from randomsurfaces.heights import (
     validate,
     write_heights,
 )
-from randomsurfaces.heights import _pinned_map
+from randomsurfaces.heights import _check_nonempty, _pinned_envelopes, _pinned_map
 from randomsurfaces.lattice import Region, boundary, make_box
 
 BOX3 = make_box((0, 0), (2, 2))
@@ -215,6 +215,19 @@ class TestParity:
     def test_empty_map_rejected(self):
         with pytest.raises(ValueError):
             is_parity_homomorphism({})
+
+    def test_floats_are_refused_not_truncated(self):
+        # int() would read 0.9 as 0 and 1.2 as 1: a valid-looking step
+        path3 = make_box((0,), (2,))
+        with pytest.raises(ValueError, match=r"vertex \(0,\) must be an integer"):
+            is_parity_homomorphism({(0,): 0.9, (1,): 1.2})
+        with pytest.raises(ValueError, match=r"must be an integer, got 2.5"):
+            validate(path3, {(0,): 0, (1,): 1, (2,): 2.5})
+        with pytest.raises(ValueError, match="must be an integer"):
+            validate(path3, {(0,): 0.9, (1,): 1, (2,): 2.5})
+        # integers of any kind keep their verdicts
+        assert validate(path3, {(0,): np.int8(0), (1,): 1, (2,): np.int64(2)})
+        assert not is_parity_homomorphism({(0,): np.int64(0), (1,): 3})
 
 
 class TestPinnedValidation:
@@ -778,6 +791,34 @@ class TestArrayBackedExtensionSet:
             tracemalloc.stop()
         assert len(support) == 64_914
         assert peak < 16 * 2**20
+
+
+class TestStoredBoundary:
+    """Each ExtensionSet keeps the boundary triple it was enumerated from."""
+
+    def test_triple_and_pinned_data_on_random_instances(self, metric_instances):
+        empty = 0
+        for region, pins, _ in metric_instances:
+            support = enumerate_extensions(region, pins)
+            at, low, high = support._boundary
+            assert at == _pinned_map(region, pins)[0]
+            assert support.pinned == HeightFunction.from_dict(pins)
+            assert support.pinned.domain == tuple(region.vertex_list[i] for i in at)
+            if len(support):
+                want = _pinned_envelopes(region, pins)
+                assert at == want[0]
+                assert np.array_equal(low, want[1]) and np.array_equal(high, want[2])
+                _check_nonempty(support)  # no error
+            else:
+                empty += 1
+                assert (low > high).any()
+                with pytest.raises(NoExtensionError) as err:
+                    _check_nonempty(support)
+                e = err.value
+                assert (e.x, e.y, e.gap, e.distance) == kirszbraun_violation(
+                    region, pins
+                )
+        assert 0 < empty < len(metric_instances)
 
 
 class TestStructuralInvariants:

@@ -24,6 +24,7 @@ from scipy.special import expit
 from randomsurfaces import sampler
 from randomsurfaces.gibbs import quenched_measure, required_window
 from randomsurfaces.heights import (
+    NoExtensionError,
     _pinned_envelopes,
     enumerate_extensions,
     extremal_boundary,
@@ -192,6 +193,21 @@ class TestCoupledRun:
         with pytest.raises(ValueError):
             coupled_run(
                 BOX3, CORNER_PIN, RING_PIN, p, 10, np.random.default_rng(0)
+            )
+
+    def test_infeasible_data_names_its_witness_first(self):
+        # unordered as well as infeasible: each datum is validated into
+        # its boundary triple before the two are compared
+        p = Potential(-5, 9, np.zeros(15))
+        gap, flat = {(0, 1): 1, (2, 1): 5}, {(0, 1): 1, (2, 1): 1}
+        with pytest.raises(NoExtensionError) as err:
+            coupled_run(BOX3, gap, flat, p, 10, np.random.default_rng(0))
+        e = err.value
+        assert (e.x, e.y, e.gap, e.distance) == ((0, 1), (2, 1), 4, 2)
+        with pytest.raises(ValueError, match="ordered low <= high"):
+            coupled_run(
+                BOX3, {(0, 1): 3, (2, 1): 3}, {(0, 1): 1, (2, 1): 1}, p, 10,
+                np.random.default_rng(0),
             )
 
 
@@ -641,6 +657,19 @@ class TestExtremePotentials:
         P = transition_matrix(mu)
         assert np.all(P >= 0.0)
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_flip_table_past_the_float_range(self):
+        # omega_z - omega_{z-1} of +-2e308 and k times 1e308 leave the
+        # float range: the entries saturate at exactly 0 or 1, row k = 0
+        # stays 1/2, and nothing warns
+        values = np.array([1e308, -1e308, 1e308, 1e308, 0.5])
+        tab = sampler._flip_table(values, 4)
+        assert np.all(tab[0] == 0.5)
+        assert np.all(tab[1:, 0] == 0.5) and np.all(tab[1:, 3] == 0.5)
+        assert np.all(tab[1:, 1] == 0.0) and np.all(tab[1:, 4] == 0.0)
+        assert np.all(tab[1:, 2] == 1.0)
+        big = np.stack([values, -values])
+        assert np.array_equal(sampler._flip_table(big, 4)[0], tab)
 
 
 class TestExpit:

@@ -549,7 +549,7 @@ def box_boundary_data(
     if kind == "parity":
         return parity_height(region).restrict(boundary(region))
     if kind == "extremal":
-        anchor = sum(region._bounds()[0]) & 1
+        anchor = sum(region._bounds[0]) & 1
         return extremal_boundary(region, direction, anchor)
     raise ValueError(f"boundary kind must be 'parity' or 'extremal', got {kind!r}")
 

@@ -26,8 +26,9 @@ from .heights import (
     _envelope_window,
     _pinned_envelopes,
     enumerate_extensions,
+    kirszbraun_extendable,
 )
-from .lattice import Region, Vertex, induced_edges, outer_extension
+from .lattice import Region, Vertex, induced_edges, make_box, outer_extension
 from .potential import (
     Potential,
     PotentialModel,
@@ -70,7 +71,11 @@ def _logsumexp(a, axis=None):
     a_max = a.max(axis=axis, keepdims=True)
     top = a == a_max
     m = top.sum(axis=axis, dtype=np.float64)
-    s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=axis)
+    # one temporary the size of a; a itself (possibly the caller's
+    # array, as asarray does not copy float64 input) is never written
+    t = np.subtract(a, a_max, out=np.empty_like(a))
+    t[top] = -np.inf
+    s = np.exp(t, out=t).sum(axis=axis)
     s /= m  # m >= 1, and 0 / m stays 0
     return (np.log1p(s) + np.log(m) + a_max.squeeze(axis))[()]
 
@@ -409,13 +414,12 @@ def _cycle_bridge(values_start: int, length: int, rng) -> list[int]:
 
 def _ring_cycle(region: Region) -> list[Vertex]:
     """Boundary vertices of a 2D box in cycle order."""
-    arr = np.asarray(region.vertex_list, dtype=np.int64)
-    (a0, a1), (b0, b1) = arr.min(axis=0), arr.max(axis=0)
+    (a0, a1), (b0, b1) = region._bounds
     ring = [(a0, j) for j in range(a1, b1)]
     ring += [(i, b1) for i in range(a0, b0)]
     ring += [(b0, j) for j in range(b1, a1, -1)]
     ring += [(i, a1) for i in range(b0, a0, -1)]
-    return [tuple(int(c) for c in v) for v in ring]
+    return ring
 
 
 def _random_pinned_instance(
@@ -428,8 +432,6 @@ def _random_pinned_instance(
     thickly pinned instances (a full random extension pinned everywhere
     except a small patch) whose localization drops interior edges.
     """
-    from .lattice import make_box
-
     rng = np.random.default_rng((seed, trial))
     family = trial % 3
     if family == 0:
@@ -449,17 +451,18 @@ def _random_pinned_instance(
     cycle = _ring_cycle(region)
     z0 = 2 * int(rng.integers(-2, 3))
     # a bridge can be valid around the cycle yet break the shorter
-    # across-the-box metric constraints; resample until it extends
-    from .heights import kirszbraun_extendable
-
+    # across-the-box metric constraints; resample until it extends.  A
+    # thick trial enumerates each bridge, as it needs the members anyway
     while True:
         vals = _cycle_bridge(z0, len(cycle), rng)
         ring_data = HeightFunction.from_dict(dict(zip(cycle, vals)))
-        if kirszbraun_extendable(region, ring_data):
-            break
-    if family == 1:
-        return region, ring_data
-    support = enumerate_extensions(region, ring_data)
+        if family == 1:
+            if kirszbraun_extendable(region, ring_data):
+                return region, ring_data
+        else:
+            support = enumerate_extensions(region, ring_data)
+            if len(support):
+                break
     g = support.members[int(rng.integers(len(support)))]
     patch = {region.vertex_list[int(rng.integers(len(region)))]}
     nbrs = [

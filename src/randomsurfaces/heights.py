@@ -38,7 +38,9 @@ from .lattice import (
     Region,
     Vertex,
     _check_vertex,
+    _data_lines,
     _distances,
+    boundary as region_boundary,
     induced_edges,
 )
 
@@ -621,11 +623,9 @@ def extremal_boundary(
     """
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    from .lattice import boundary as region_boundary
-
     if not region.is_box():
         raise ValueError("extremal boundary data is defined for boxes only")
-    corner = region._bounds()[0]
+    corner = region._bounds[0]
     if (int(anchor) - _vertex_parity(corner)) % 2 != 0:
         raise ValueError(
             f"anchor {anchor} has wrong parity for corner {corner}"
@@ -652,8 +652,6 @@ def extremal_boundary(
 
 
 def parse_heights(text: str) -> HeightFunction:
-    from .lattice import _data_lines
-
     rows = _data_lines(text)
     if not rows:
         raise ValueError("empty height file")
@@ -712,8 +710,6 @@ def format_grid(grid: np.ndarray) -> str:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    from .lattice import _data_lines
-
     rows = _data_lines(text)
     if not rows:
         raise ValueError("empty grid file")

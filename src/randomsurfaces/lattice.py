@@ -6,13 +6,15 @@ finite, nonempty, connected set of vertices together with the adjacency
 it induces; all graph notions below (neighbors, distance, boundary) are
 relative to the region, never to the ambient lattice.
 
-A Region is array-backed: its vertices are one (n, m) int64 coordinate
-array in lexicographic order, its adjacency a padded (n, 2m) neighbour
-matrix with a degree array, and its edges two endpoint arrays.  They
-are built in numpy (sorts and coordinate comparisons, no per-vertex
-Python work).  The vertex tuples (``vertex_list``, positions) are made
-once; ``vertex_set``, ``edge_positions`` and the neighbour tuples are
-made on first use only.
+A Region is array-first: it stores its vertices as one (n, m) int64
+coordinate array in lexicographic order, its adjacency as a padded
+(n, 2m) neighbour matrix with a degree array, and its edges as two
+endpoint arrays, and nothing else.  They are built in numpy (sorts and
+coordinate comparisons, no per-vertex Python work).  Every tuple view
+(``vertex_list``, positions, ``vertex_set``, ``edge_positions``, the
+neighbour tuples and the bounding corners) is derived from the arrays
+on first use, so size, equality, hashing, the box test and the boundary
+ring make no tuple per vertex.
 
 Multi-source distances are computed from positions: ``_distances``
 takes the source positions and their offsets, the form in which the
@@ -33,6 +35,7 @@ connected.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -132,15 +135,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _graph(coords: np.ndarray):
-    """Sorted vertices and the Region arrays.
+    """The Region arrays of the distinct vertices in ``coords``.
 
-    Returns the sorted distinct vertices as tuples, then the arrays that
-    ``Region`` keeps (see there): coordinates, neighbour matrix, degrees
-    and the two edge endpoint arrays, and last the coordinatewise minimum
-    and maximum as tuples of Python ints.  The numpy work runs on the
-    transposed (m, n) coordinates, so every comparison reads whole rows;
-    the vertex tuples are built with ``zip`` over columns, without
-    per-vertex lists or numpy scalars.
+    Returns the arrays that ``Region`` keeps (see there): coordinates,
+    neighbour matrix, degrees and the two edge endpoint arrays.  The
+    numpy work runs on the transposed (m, n) coordinates, so every
+    comparison reads whole rows.
     """
     n, m = coords.shape
     # lexicographic order and deduplication: one sort, then drop
@@ -180,25 +180,12 @@ def _graph(coords: np.ndarray):
     nbr[nbr == n] = -1
     ea, col = np.nonzero(nbr > np.arange(n)[:, None])
     return (
-        tuple(zip(*ct.tolist())),
         np.ascontiguousarray(ct.T),
         nbr,
         degree,
         ea.astype(np.int64, copy=False),
         nbr[ea, col],
-        (tuple(ct.min(axis=1).tolist()), tuple(ct.max(axis=1).tolist())),
     )
-
-
-def _neighbor_tuples(
-    nbr: np.ndarray, degree: np.ndarray
-) -> tuple[tuple[int, ...], ...]:
-    """The rows of a padded neighbour matrix as tuples cut to their degree."""
-    rows = list(zip(*nbr.T.tolist()))
-    short = np.flatnonzero(degree < nbr.shape[1])
-    for i, k in zip(short.tolist(), degree[short].tolist()):
-        rows[i] = rows[i][:k]
-    return tuple(rows)
 
 
 class Region:
@@ -208,57 +195,38 @@ class Region:
     coordinates and connectedness; the connectedness check runs a
     breadth-first search only when the vertices do not fill their
     bounding box (``is_box``).  Any iterable of vertices is accepted,
-    including an (n, m) integer array.  The instance is immutable and
-    holds, all aligned with the lexicographic vertex order:
+    including an (n, m) integer array.  The instance is immutable.  It
+    stores ``dimension`` and five read-only arrays, all aligned with the
+    lexicographic vertex order, and nothing else:
 
     * ``_coords``: the (n, m) int64 coordinates;
     * ``_neighbors``: an (n, 2m) matrix whose row i lists the positions
       of vertex i's in-region neighbours in ascending order, padded
       with -1, and ``_degree``, the number of them;
     * ``_edge_ends``: the edges (i, j), i < j, in lexicographic order, as
-      two endpoint arrays (``edge_arrays``);
-    * ``_corners``: the coordinatewise minimum and maximum, as tuples of
-      Python ints (``_bounds``).
+      two endpoint arrays (``edge_arrays``).
 
-    The arrays are read-only.  ``vertex_list`` and ``position`` are
-    built on construction; ``vertex_set``, ``edge_positions`` and the
-    neighbour tuples (``_neighbor_positions``, read by
-    ``neighbor_positions`` and by the breadth-first search) are built on
-    first use, so a large box whose distances come from the closed form
-    never makes them.
+    Every tuple view is a ``cached_property`` derived from them on first
+    use: ``vertex_list``, ``_position`` (read by ``position`` and
+    ``in``), ``vertex_set``, ``_neighbor_positions`` (read by
+    ``neighbor_positions`` and by the breadth-first search),
+    ``edge_positions`` and ``_bounds``, the coordinatewise minimum and
+    maximum as tuples of Python ints.  So a large box whose distances
+    come from the closed form never makes the neighbour tuples.  A copy or
+    a pickle carries the coordinates only and is rebuilt from them.
     """
-
-    __slots__ = (
-        "dimension",
-        "vertex_list",
-        "_vertex_set",
-        "_position",
-        "_neighbor_rows",
-        "_edge_positions",
-        "_coords",
-        "_neighbors",
-        "_degree",
-        "_edge_ends",
-        "_corners",
-    )
 
     def __init__(self, vertices: Iterable[Vertex]):
         coords = _coordinate_array(vertices)
         if not len(coords):
             raise ValueError("region must be nonempty")
-        vs, coords, nbr, degree, ea, eb, bounds = _graph(coords)
+        coords, nbr, degree, ea, eb = _graph(coords)
         set_ = object.__setattr__
         set_(self, "dimension", coords.shape[1])
-        set_(self, "vertex_list", vs)
-        set_(self, "_vertex_set", None)
-        set_(self, "_position", dict(zip(vs, range(len(vs)))))
-        set_(self, "_neighbor_rows", None)
-        set_(self, "_edge_positions", None)
         set_(self, "_coords", _read_only(coords))
         set_(self, "_neighbors", _read_only(nbr))
         set_(self, "_degree", _read_only(degree))
         set_(self, "_edge_ends", (_read_only(ea), _read_only(eb)))
-        set_(self, "_corners", bounds)
         self._check_connected()
 
     def _check_connected(self) -> None:
@@ -273,11 +241,16 @@ class Region:
                 f"{self.vertex_list[0]}"
             )
 
+    # cached_property fills the instance __dict__ directly, so the tuple
+    # views are cached past this
     def __setattr__(self, name, value):
         raise AttributeError("Region is immutable")
 
+    def __reduce__(self):
+        return (Region, (self._coords,))
+
     def __len__(self) -> int:
-        return len(self.vertex_list)
+        return len(self._coords)
 
     def __iter__(self) -> Iterator[Vertex]:
         return iter(self.vertex_list)
@@ -289,59 +262,70 @@ class Region:
             return False
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Region) and self.vertex_list == other.vertex_list
+        # array_equal compares shapes first: dimensions must agree too
+        return isinstance(other, Region) and np.array_equal(
+            self._coords, other._coords
         )
 
     def __hash__(self) -> int:
-        return hash(self.vertex_list)
+        return hash((self._coords.shape, self._coords.tobytes()))
 
     def __repr__(self) -> str:
         return (
             f"Region(dim={self.dimension}, size={len(self)}, "
-            f"first={self.vertex_list[0]})"
+            f"first={tuple(self._coords[0].tolist())})"
         )
 
-    @property
+    @cached_property
+    def vertex_list(self) -> tuple[Vertex, ...]:
+        """The vertices as tuples of Python ints, in lexicographic order."""
+        return tuple(zip(*self._coords.T.tolist()))
+
+    @cached_property
+    def _position(self) -> dict[Vertex, int]:
+        """Each vertex's index in ``vertex_list``."""
+        return dict(zip(self.vertex_list, range(len(self))))
+
+    @cached_property
     def vertex_set(self) -> frozenset[Vertex]:
-        """The vertices as a frozenset, built on first use."""
-        if self._vertex_set is None:
-            object.__setattr__(self, "_vertex_set", frozenset(self.vertex_list))
-        return self._vertex_set
+        """The vertices as a frozenset."""
+        return frozenset(self.vertex_list)
 
     def position(self, v: Vertex) -> int:
         """Index of ``v`` in ``vertex_list``; raises KeyError if absent."""
         return self._position[tuple(v)]
 
-    @property
+    @cached_property
     def _neighbor_positions(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbour positions as a tuple, built on first use."""
-        if self._neighbor_rows is None:
-            rows = _neighbor_tuples(self._neighbors, self._degree)
-            object.__setattr__(self, "_neighbor_rows", rows)
-        return self._neighbor_rows
+        """Each vertex's neighbour positions as a tuple, cut to its degree."""
+        nbr, degree = self._neighbors, self._degree
+        rows = list(zip(*nbr.T.tolist()))
+        short = np.flatnonzero(degree < nbr.shape[1])
+        for i, k in zip(short.tolist(), degree[short].tolist()):
+            rows[i] = rows[i][:k]
+        return tuple(rows)
 
     def neighbor_positions(self, i: int) -> tuple[int, ...]:
         return self._neighbor_positions[i]
 
-    @property
+    @cached_property
     def edge_positions(self) -> tuple[tuple[int, int], ...]:
         """Edges of the induced graph as (i, j) index pairs, i < j."""
-        if self._edge_positions is None:
-            ea, eb = self._edge_ends
-            object.__setattr__(
-                self, "_edge_positions", tuple(zip(ea.tolist(), eb.tolist()))
-            )
-        return self._edge_positions
+        ea, eb = self._edge_ends
+        return tuple(zip(ea.tolist(), eb.tolist()))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints as two parallel read-only int64 position arrays."""
         return self._edge_ends
 
+    @cached_property
     def _bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Coordinatewise minimum and maximum, as tuples of Python ints
-        (found on construction)."""
-        return self._corners
+        """Coordinatewise minimum and maximum, as tuples of Python ints."""
+        coords = self._coords
+        return (
+            tuple(coords.min(axis=0).tolist()),
+            tuple(coords.max(axis=0).tolist()),
+        )
 
     def is_box(self) -> bool:
         """True iff the region is its whole bounding box.
@@ -349,12 +333,12 @@ class Region:
         The vertices are distinct and lie in the bounding box, so they fill
         it exactly when there are as many of them as the box has points.
         """
-        lows, highs = self._bounds()
+        lows, highs = self._bounds
         return len(self) == prod(b - a + 1 for a, b in zip(lows, highs))
 
     def l1_diameter(self) -> int:
         """max_{x,y in R} sum_i |x_i - y_i| (ambient l1, not graph metric)."""
-        lows, highs = self._bounds()
+        lows, highs = self._bounds
         return sum(b - a for a, b in zip(lows, highs))
 
 
@@ -495,7 +479,7 @@ def _box_distances(
     rel = np.array([min(z - least, cap) for z in zs], dtype=np.int64)
     grid = np.full(len(region), cap, dtype=np.int64)
     grid[np.array(at, dtype=np.intp)] = rel
-    lows, highs = region._bounds()
+    lows, highs = region._bounds
     grid = grid.reshape([b - a + 1 for a, b in zip(lows, highs)])
     for axis, side in enumerate(grid.shape):
         if side == 1:
@@ -541,9 +525,8 @@ def boundary(region: Region) -> set[Vertex]:
 
     Those are exactly the vertices of in-region degree below 2m.
     """
-    vs = region.vertex_list
-    short = np.flatnonzero(region._degree < 2 * region.dimension)
-    return {vs[i] for i in short.tolist()}
+    short = region._degree < 2 * region.dimension
+    return set(map(tuple, region._coords[short].tolist()))
 
 
 def relative_boundary(region: Region, sub: Iterable[Vertex]) -> set[Vertex]:

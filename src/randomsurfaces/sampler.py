@@ -341,7 +341,7 @@ class BoxGlauber:
         envelopes = [env for env, _, _ in _groups]
 
         coords = region._coords
-        lows, highs = region._bounds()
+        lows, highs = region._bounds
         sides = tuple(b - a + 1 for a, b in zip(lows, highs))
         self.region = region
         self.batch = len(potentials)

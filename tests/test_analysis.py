@@ -698,18 +698,20 @@ class TestMetricLayerCost:
         # the box's distances come from the l1 closed form: neither the
         # breadth-first search nor the neighbour tuples it reads are made
         made = []
-        bfs, tuples = lattice._bfs, lattice._neighbor_tuples
+        bfs = lattice._bfs
+        view = lattice.Region.__dict__["_neighbor_positions"]
+        tuples = view.func
 
         def counting_bfs(nbrs, sources):
             made.append("bfs")
             return bfs(nbrs, sources)
 
-        def counting_tuples(nbr, degree):
+        def counting_tuples(region):
             made.append("tuples")
-            return tuples(nbr, degree)
+            return tuples(region)
 
         monkeypatch.setattr(lattice, "_bfs", counting_bfs)
-        monkeypatch.setattr(lattice, "_neighbor_tuples", counting_tuples)
+        monkeypatch.setattr(view, "func", counting_tuples)
         box = make_box((0, 0), (99, 99))
         ring = extremal_boundary(box, 1, 0)
         low, high = min_max_extensions(box, ring)
@@ -720,11 +722,31 @@ class TestMetricLayerCost:
         x, y, gap, dist = kirszbraun_violation(box, bad)
         assert (50, 37) in (x, y) and dist < gap
         assert _max_walk_length(box) == 50
-        assert made == [] and box._neighbor_rows is None
+        assert made == [] and "_neighbor_positions" not in box.__dict__
         # a first read of the tuples builds them, once
         assert box.neighbor_positions(0) == (1, 100)
         assert box.neighbor_positions(101) == (1, 100, 102, 201)
         assert made == ["tuples"]
+
+    def test_no_tuple_view_on_the_100_box(self):
+        # size, the box test, the diameter, the walk length, equality,
+        # hashing and the boundary ring all read the arrays alone
+        box = make_box((0, 0), (99, 99))
+        assert len(box) == 10_000 and box.is_box()
+        assert box.l1_diameter() == 198
+        assert _max_walk_length(box) == 50
+        twin = make_box((0, 0), (99, 99))
+        assert box == twin and hash(box) == hash(twin)
+        assert box != make_box((0, 0), (99, 98))
+        assert len(lattice.boundary(box)) == 396
+        views = {
+            "vertex_list", "_position", "vertex_set", "_neighbor_positions",
+            "edge_positions",
+        }
+        assert views.isdisjoint(box.__dict__)
+        assert set(box.__dict__) == {
+            "dimension", "_coords", "_neighbors", "_degree", "_edge_ends", "_bounds"
+        }
 
 
 class TestTailBounds:

@@ -18,6 +18,7 @@ math.exp sums instead of the library's log-space path.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,24 @@ class TestLogSumExp:
         assert gibbs._logsumexp(np.zeros((3, 4)), axis=1).shape == (3,)
         assert gibbs._logsumexp(np.zeros((1, 4)), axis=1).shape == (1,)
         assert gibbs._logsumexp([0.0, 0.0]) == math.log(2.0)
+        assert gibbs._logsumexp(2.5) == 2.5  # a 0-d input
+
+    def test_input_is_untouched_and_one_temporary_is_held(self):
+        rng = np.random.default_rng(3)
+        for axis in (None, 1):
+            a = np.round(rng.standard_normal((200, 500)), 1)
+            kept = a.copy()
+            want = frozen_logsumexp(a, axis=axis)
+            tracemalloc.start()
+            try:
+                got = gibbs._logsumexp(a, axis=axis)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, want)
+            assert np.array_equal(a, kept)
+            # one float64 temporary plus the boolean mask of the maxima
+            assert peak < 1.5 * a.nbytes, peak / a.nbytes
 
     def test_empty_input_is_minus_infinity(self):
         assert gibbs._logsumexp([]) == -np.inf == logsumexp([])
@@ -627,6 +646,28 @@ class TestIdentities:
         # pick the member it pins almost everywhere
         thick = sum(1 for t in range(samples) if t % 3 == 2)
         assert len(calls) == 2 * samples + thick
+
+    def test_thick_trials_enumerate_each_bridge_once(self, monkeypatch):
+        # a thick trial (trial % 3 == 2) validates each bridge it draws by
+        # enumerating it, and keeps the first nonempty set
+        bridges, enumerated = [], []
+        draw, enum = gibbs._cycle_bridge, gibbs.enumerate_extensions
+
+        def counting_bridge(*args):
+            bridges.append(1)
+            return draw(*args)
+
+        def counting_enum(region, pinned):
+            enumerated.append(1)
+            return enum(region, pinned)
+
+        monkeypatch.setattr(gibbs, "_cycle_bridge", counting_bridge)
+        monkeypatch.setattr(gibbs, "enumerate_extensions", counting_enum)
+        thick = [t for t in range(24) if t % 3 == 2]
+        for trial in thick:
+            gibbs._random_pinned_instance(trial, 0)
+        assert len(enumerated) == len(bridges)
+        assert len(bridges) > len(thick)  # some bridges are rejected at seed 0
 
     def test_checks_take_a_pre_enumerated_support(self):
         pin = parity_height(BOX3).restrict(boundary(BOX3))

@@ -16,6 +16,7 @@ Hand-derived oracles used below:
 """
 
 import itertools
+import pickle
 import time
 from collections import deque
 
@@ -819,6 +820,18 @@ class TestStoredBoundary:
                     region, pins
                 )
         assert 0 < empty < len(metric_instances)
+
+    def test_pickle_round_trip(self):
+        # the region inside is rebuilt from its coordinates; an empty set
+        # (a gap of 4 over distance 2) keeps its triple too
+        for pins in ({(0,): 0, (4,): 0}, {(0,): 0, (2,): 4}):
+            support = enumerate_extensions(PATH5, pins)
+            twin = pickle.loads(pickle.dumps(support))
+            assert twin.region == PATH5 and twin.pinned == support.pinned
+            assert np.array_equal(twin.members_array, support.members_array)
+            (at, low, high), (at2, low2, high2) = twin._boundary, support._boundary
+            assert at == at2
+            assert np.array_equal(low, low2) and np.array_equal(high, high2)
 
 
 class TestStructuralInvariants:

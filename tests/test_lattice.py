@@ -9,7 +9,9 @@ The array-backed Region is also checked against ``OracleRegion``, a
 per-vertex constructor on Python tuples and ints.
 """
 
+import copy
 import itertools
+import pickle
 import random
 import re
 from collections import deque
@@ -271,6 +273,39 @@ class TestRegionConstruction:
         b = Region([(1, 1), (0, 1), (0, 0)])
         assert a == b
 
+    def test_tuple_input_equals_the_box(self):
+        vs = [(i, j) for j in range(3) for i in range(-1, 2)]
+        box = make_box((-1, 0), (1, 2))
+        assert Region(vs) == box and hash(Region(vs)) == hash(box)
+
+    def test_dimension_separates_equal_coordinate_counts(self):
+        # four vertices of a path either way: 4 x 1 against 4 x 2 coordinates
+        line, strip = make_box((0,), (3,)), make_box((0, 0), (0, 3))
+        assert line != strip and strip != line
+        assert line != make_box((0,), (2,))
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            lambda r: pickle.loads(pickle.dumps(r)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copies_are_rebuilt_read_only(self, duplicate):
+        for region in (make_box((0, 0), (2, 2)), Region([(0, 0), (0, 1), (1, 1)])):
+            region.vertex_list  # a cached view is not carried over
+            twin = duplicate(region)
+            assert twin is not region and "vertex_list" not in twin.__dict__
+            assert twin == region and hash(twin) == hash(region)
+            assert twin.vertex_list == region.vertex_list
+            ea, eb = twin.edge_arrays()
+            for a in (twin._coords, twin._neighbors, twin._degree, ea, eb):
+                assert not a.flags.writeable
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.dimension = 3
+
 
 def count_bfs(monkeypatch, fail=False):
     """Count (or forbid) ``lattice._bfs`` calls."""
@@ -342,16 +377,16 @@ class TestConnectivitySearch:
 
     def test_bounds_are_python_ints(self, metric_instances):
         for region, _, _ in metric_instances:
-            lows, highs = region._bounds()
+            lows, highs = region._bounds
             assert lows == tuple(region._coords.min(axis=0).tolist())
             assert highs == tuple(region._coords.max(axis=0).tolist())
             assert {type(c) for c in lows + highs} == {int}
 
     def test_vertex_set_is_built_on_first_use(self):
         box = make_box((0, 0), (2, 2))
-        assert box._vertex_set is None
+        assert "vertex_set" not in box.__dict__
         assert (1, 1) in box and (3, 3) not in box
-        assert box._vertex_set is None
+        assert "vertex_set" not in box.__dict__
         assert box.vertex_set == frozenset(box.vertex_list)
         assert box.vertex_set is box.vertex_set
 
@@ -723,13 +758,15 @@ class TestLargeRegions:
             vs = vs + vs[:2]
             rng.shuffle(vs)
             got = lattice._graph(np.asarray(vs, dtype=np.int64))
-            sorted_vs, coords, nbr, degree, ea, eb, bounds = got
-            # the tuples a Region builds on first use of _neighbor_positions
-            rows = lattice._neighbor_tuples(nbr, degree)
+            coords, nbr, degree, ea, eb = got
+            sorted_vs = tuple(map(tuple, coords.tolist()))
+            # each neighbour-matrix row cut to its degree
+            rows = [row[:k] for row, k in zip(nbr.tolist(), degree.tolist())]
             assert sorted_vs == tuple(sorted(set(vs)))
-            assert bounds == (
-                tuple(map(min, zip(*vs))), tuple(map(max, zip(*vs)))
-            )
+            assert (
+                tuple(coords.min(axis=0).tolist()),
+                tuple(coords.max(axis=0).tolist()),
+            ) == (tuple(map(min, zip(*vs))), tuple(map(max, zip(*vs))))
             assert coords.tolist() == [list(v) for v in sorted_vs]
             pos = {v: i for i, v in enumerate(sorted_vs)}
             want = sorted((pos[x], pos[y]) for x, y in lattice.induced_edges(vs))

@@ -34,7 +34,9 @@ from .heights import (
     _Envelopes,
     _check_nonempty,
     _envelope_window,
+    _heights,
     _pinned_envelopes,
+    _plain_vertices,
     as_height_function,
     enumerate_extensions,
     extremal_boundary,
@@ -407,8 +409,11 @@ def martingale_audit(
     The walk must start at a pinned vertex and move through adjacent
     vertices of the region to the target path[-1].  Member probabilities
     are annealed (exactly for finite-support models, else Monte Carlo).
+    A given ``support`` must have been enumerated from ``pinned`` on
+    ``region``: its validated pinned data is used, and ``pinned`` must
+    agree with it, else ValueError.
     """
-    pinned_f = as_height_function(pinned)
+    pinned_f = _support_pinned(region, pinned, support)
     walk = [tuple(v) for v in path]
     if len(walk) < 1:
         raise ValueError("empty walk")
@@ -425,44 +430,76 @@ def martingale_audit(
     probs = annealed_member_probabilities(
         support, model, mode=mode, samples=samples, first_draw=first_draw
     )
-    cols = [region.position(v) for v in walk]
-    vals = support.members_array[:, cols]  # (members, walk length)
-    target = support.members_array[:, cols[-1]].astype(float)
-    weighted = probs * target
+    # heights along the walk, as offsets from support.base
+    steps = support.offsets.take([region.position(v) for v in walk], axis=1)
+    weighted = probs * _heights(steps[:, -1], support.base).astype(float)
+    # walk vertices are adjacent, so every member steps by exactly +-1:
+    # up[j] is 1 where it goes up from walk[j] to walk[j + 1]
+    up = np.ascontiguousarray((steps[:, 1:] > steps[:, :-1]).T, dtype=np.intp)
 
-    # Group members by walk prefix, level by level: a prefix of length k
-    # is coded as (its parent prefix's group) * radix + (value at step k),
-    # and groups are numbered in order of first appearance, the order the
-    # per-member dict grouping gives.  bincount adds in member order, so
-    # every mass and sum is the same float as a member-by-member sum.
-    group = np.zeros(len(vals), dtype=np.int64)
-    keys = [()]
+    # Group members by walk prefix, level by level, numbering the groups
+    # in order of first appearance, the order the per-member dict grouping
+    # gives.  walk[0] is pinned, so levels 0 and 1 are one group.  A
+    # prefix of length k >= 2 is its parent prefix and step k - 2, coded
+    # as 2 * (parent group) + up[k - 2], below twice the parent count;
+    # minimum.at finds each code's first member.  bincount adds in member
+    # order, so every mass and sum is the same float as a member-by-member
+    # sum.
+    size = len(steps)
+    rows = np.arange(size)
+    group = np.zeros(size, dtype=np.intp)
+    first = rows[:1]
+    mass = np.bincount(group, weights=probs)
+    mean = np.bincount(group, weights=weighted) / mass
     levels = []
     max_diff = 0.0
     for k in range(len(walk) + 1):
-        if k:
-            step = vals[:, k - 1] - vals[:, k - 1].min()
-            codes = group * (int(step.max()) + 1) + step
-            _, first, inverse = np.unique(
-                codes, return_index=True, return_inverse=True
-            )
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            first = first[order]
-            parent_mean = mean[group[first]]
-            group = rank[inverse]
-            keys = zip(*vals[first, :k].T.tolist())
-        mass = np.bincount(group, weights=probs)
-        mean = np.bincount(group, weights=weighted) / mass
-        if k:
+        if k >= 2:
+            codes = 2 * group + up[k - 2]
+            seen = np.full(2 * len(first), size, dtype=np.intp)
+            np.minimum.at(seen, codes, rows)
+            first = seen[seen < size]
+            first.sort()
+            parents = codes[first]
+            rank = np.empty_like(seen)
+            rank[parents] = np.arange(len(first))
+            group = rank[codes]
+            parent_mean = mean[parents >> 1]
+            mass = np.bincount(group, weights=probs)
+            mean = np.bincount(group, weights=weighted) / mass
             diff = np.fmax.reduce(np.abs(mean - parent_mean))
             max_diff = max(max_diff, float(diff))  # a nan never wins, as in max()
+        keys = map(tuple, _heights(steps[first, :k], support.base).tolist())
         levels.append(dict(zip(keys, zip(mass.tolist(), mean.tolist()))))
 
     return MartingaleAudit(
         tuple(walk), levels[0][()][1], tuple(levels), max_diff
     )
+
+
+def _support_pinned(
+    region: Region, pinned: Mapping[Vertex, int], support: ExtensionSet | None
+) -> HeightFunction:
+    """``pinned`` as a HeightFunction; with a ``support``, its pinned data.
+
+    A mapping equal to the support's data, with tuples of Python ints as
+    keys and Python ints as values, is taken as it is.  Anything else
+    goes through ``as_height_function``, which refuses what it refuses,
+    and must then equal the support's data.
+    """
+    if support is None:
+        return as_height_function(pinned)
+    if support.region is not region and support.region != region:
+        raise ValueError("support was enumerated on another region")
+    known = support.pinned
+    plain = (
+        known._map == pinned
+        and set(map(type, pinned.values())) <= {int}
+        and _plain_vertices(pinned)
+    )
+    if not plain and as_height_function(pinned) != known:
+        raise ValueError("support was enumerated from other pinned data")
+    return known
 
 
 def boundary_to_interior_walks(
@@ -531,8 +568,22 @@ def deviation_tail_exact(
     v: Vertex,
     threshold: float,
 ) -> float:
-    """P(|h(v) - E h(v)| >= threshold) under member probabilities."""
-    col = support.region.position(tuple(v))
+    """P(|h(v) - E h(v)| >= threshold) under member probabilities.
+
+    ``probs`` holds one probability per member of ``support``, ``v`` is a
+    vertex of its region and ``threshold`` is not nan; else ValueError.
+    """
+    col = support.region._position.get(tuple(v))
+    if col is None:
+        raise ValueError(f"v = {v} lies outside the region")
+    probs = np.asarray(probs)
+    if probs.shape != (len(support),):
+        raise ValueError(
+            f"probs must hold one probability per member ({len(support)}), "
+            f"got shape {probs.shape}"
+        )
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be nan")
     vals = support.members_array[:, col].astype(float)
     mean = float(vals @ probs)
     return float(probs[np.abs(vals - mean) >= threshold].sum())

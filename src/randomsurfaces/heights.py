@@ -253,6 +253,14 @@ def _is_height_function_at(region: Region, at: list[int], zs: list[int]) -> bool
     return True
 
 
+def _plain_vertices(keys: Iterable) -> bool:
+    """True iff every key is a tuple of Python ints, the form that
+    ``_check_vertex`` returns, so that no key needs that check."""
+    return set(map(type, keys)) <= {tuple} and set(
+        map(type, chain.from_iterable(keys))
+    ) <= {int}
+
+
 def _pinned_map(region: Region, pinned: Mapping[Vertex, int]) -> tuple[list, list]:
     """The pinned data, checked to be a height function in region, as
     region positions in ascending order and their values as Python ints.
@@ -266,10 +274,7 @@ def _pinned_map(region: Region, pinned: Mapping[Vertex, int]) -> tuple[list, lis
     hf = isinstance(pinned, HeightFunction)
     keys = list(pinned.domain if hf else pinned)
     values = pinned.heights if hf else pinned.values()
-    plain = set(map(type, keys)) <= {tuple} and set(
-        map(type, chain.from_iterable(keys))
-    ) <= {int}
-    at = list(map(region._position.get, keys)) if plain else None
+    at = list(map(region._position.get, keys)) if _plain_vertices(keys) else None
     if at is None or None in at:
         vals = dict(zip(
             (_check_vertex(v, region.dimension) for v in keys), values

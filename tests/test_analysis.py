@@ -549,6 +549,138 @@ class TestAuditMatchesTupleGrouping:
             assert audit.max_diff == max_diff
 
 
+BOX444 = make_box((0, 0, 0), (3, 3, 3))
+
+# (region, pinned data, walk): a walk that never leaves its pinned start,
+# one that steps back and forth over one edge, a 1D path, and a wandering
+# walk through a 3D box with its boundary pinned
+AUDIT_WALK_SHAPES = {
+    "single vertex": (BOX3, RING3, [(0, 1)]),
+    "back and forth": (
+        BOX4,
+        parity_height(BOX4).restrict(boundary(BOX4)),
+        [(0, 1), (1, 1), (1, 2), (1, 1), (1, 2), (1, 1), (2, 1)],
+    ),
+    "1D path": (
+        make_box((0,), (8,)),
+        {(0,): 0, (8,): 2},
+        [(i,) for i in range(9)],
+    ),
+    "3D box": (
+        BOX444,
+        parity_height(BOX444).restrict(boundary(BOX444)),
+        [(0, 1, 1), (1, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2), (2, 1, 2),
+         (1, 1, 2), (1, 1, 1)],
+    ),
+}
+
+
+class TestAuditWalkShapes:
+    """The prefix grouping gives the tuple grouping's floats, in its key
+    order, on walks of other shapes than the 2D rings' shortest walks."""
+
+    @pytest.mark.parametrize("mode,samples", [("exact", 0), ("mc", 30)])
+    @pytest.mark.parametrize("shape", sorted(AUDIT_WALK_SHAPES))
+    def test_levels_bit_identical_in_key_order(self, shape, mode, samples):
+        region, pinned, walk = AUDIT_WALK_SHAPES[shape]
+        support = enumerate_extensions(region, pinned)
+        assert len(support) > 1
+        model = PotentialModel("twopoint", 0.8, 1)
+        probs = annealed_member_probabilities(
+            support, model, mode=mode, samples=samples
+        )
+        audit = martingale_audit(
+            region, pinned, walk, model, mode=mode, samples=samples,
+            support=support,
+        )
+        mean, levels, max_diff = tuple_grouping_audit(support, probs, walk)
+        assert len(audit.levels) == len(walk) + 1
+        assert audit.levels == levels
+        assert [list(g) for g in audit.levels] == [list(g) for g in levels]
+        assert audit.target_mean == mean
+        assert audit.max_diff == max_diff
+
+
+class TestAuditReadsTheSupport:
+    """With a support, the audit takes its pinned data from the support."""
+
+    @staticmethod
+    def count_from_dict(monkeypatch):
+        calls = []
+        build = HeightFunction.from_dict.__func__
+
+        def counting(cls, values):
+            calls.append(values)
+            return build(cls, values)
+
+        monkeypatch.setattr(HeightFunction, "from_dict", classmethod(counting))
+        return calls
+
+    def test_plain_dict_equal_to_the_support_data_is_not_rebuilt(
+        self, monkeypatch
+    ):
+        support = enumerate_extensions(BOX4, parity_height(BOX4).restrict(
+            boundary(BOX4)
+        ))
+        model = PotentialModel("twopoint", 1.0, 2)
+        walk = [(0, 1), (1, 1), (1, 2), (2, 2)]
+        want = martingale_audit(BOX4, support.pinned, walk, model,
+                                support=support)
+        calls = self.count_from_dict(monkeypatch)
+        pinned = support.pinned.as_dict()
+        audit = martingale_audit(BOX4, pinned, walk, model, support=support)
+        assert calls == []
+        assert audit == want
+
+    @pytest.mark.parametrize("vertex,value,message", [
+        ((0, 1), 1.0, r"height at vertex \(0, 1\) must be an integer, got 1\.0"),
+        ((0, 1.0), 1, r"vertex must be a nonempty tuple of ints, got \(0, 1\.0\)"),
+    ])
+    def test_data_that_from_dict_refuses_keeps_its_message(
+        self, monkeypatch, vertex, value, message
+    ):
+        support = enumerate_extensions(BOX3, RING3)
+        calls = self.count_from_dict(monkeypatch)
+        pinned = RING3.as_dict()
+        del pinned[(0, 1)]
+        pinned[vertex] = value
+        with pytest.raises(ValueError, match=message):
+            martingale_audit(BOX3, pinned, [(0, 1), (1, 1)],
+                             PotentialModel("zero"), support=support)
+        assert len(calls) == 1
+
+    def test_data_that_from_dict_accepts_is_compared_after_it(self):
+        support = enumerate_extensions(BOX3, RING3)
+        model = PotentialModel("twopoint", 1.0)
+        walk = [(0, 1), (1, 1)]
+        want = martingale_audit(BOX3, RING3, walk, model, support=support)
+        numpy_values = {v: np.int64(z) for v, z in RING3.items()}
+        numpy_keys = {tuple(map(np.int64, v)): z for v, z in RING3.items()}
+        for pinned in (numpy_values, numpy_keys):
+            audit = martingale_audit(BOX3, pinned, walk, model,
+                                     support=support)
+            assert audit == want
+
+    @pytest.mark.parametrize("pinned", [
+        RING3.shift(2),
+        RING3.shift(2).as_dict(),
+        RING3.restrict([(0, 0), (0, 1), (0, 2)]),
+        {**RING3.as_dict(), (1, 1): 0},
+    ], ids=["shifted", "shifted dict", "fewer vertices", "more vertices"])
+    def test_support_of_other_pinned_data_is_refused(self, pinned):
+        # the support's level 1 would read h(0, 1) = 1 off its members
+        support = enumerate_extensions(BOX3, RING3)
+        with pytest.raises(ValueError, match="enumerated from other pinned"):
+            martingale_audit(BOX3, pinned, [(0, 1), (1, 1)],
+                             PotentialModel("twopoint", 1.0), support=support)
+
+    def test_support_on_another_region_is_refused(self):
+        support = enumerate_extensions(BOX3, RING3)
+        with pytest.raises(ValueError, match="enumerated on another region"):
+            martingale_audit(make_box((0, 0), (2, 3)), RING3, [(0, 1), (1, 1)],
+                             PotentialModel("zero"), support=support)
+
+
 class TestWalks:
     def test_3x3_walks(self):
         walks = boundary_to_interior_walks(BOX3, RING3.domain, [(1, 1)])
@@ -799,6 +931,19 @@ class TestTailBounds:
         probs = np.array([0.25, 0.75])  # mean 0.5; devs 1.5 and 0.5
         assert deviation_tail_exact(support, probs, (1,), 1.0) == 0.25
         assert deviation_tail_exact(support, probs, (1,), 0.5) == 1.0
+
+    def test_deviation_tail_refuses_bad_input(self):
+        support = enumerate_extensions(PATH3, {(0,): 0, (2,): 0})
+        probs = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="threshold must not be nan"):
+            deviation_tail_exact(support, probs, (1,), math.nan)
+        for bad in (probs[:1], np.ones(3) / 3, probs[None, :]):
+            with pytest.raises(ValueError, match=r"probs must hold one "
+                               r"probability per member \(2\)"):
+                deviation_tail_exact(support, bad, (1,), 1.0)
+        for v in ((5,), (1, 1)):
+            with pytest.raises(ValueError, match=r"v = .* lies outside"):
+                deviation_tail_exact(support, probs, v, 1.0)
 
 
 class TestBoundaryDataAndConfig:

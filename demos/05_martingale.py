@@ -48,8 +48,9 @@ def main() -> None:
     probs = annealed_member_probabilities(support, model)
     l = len(walk) - 1
     print(f"\nexact tails vs. envelope (walk length l = {l}):")
-    for c in (0.25, 0.5, 1.0, 1.5):
-        tail = deviation_tail_exact(support, probs, target, l * c)
+    cs = (0.25, 0.5, 1.0, 1.5)
+    tails = deviation_tail_exact(support, probs, target, [l * c for c in cs])
+    for c, tail in zip(cs, tails):
         print(f"  c = {c:4.2f}: P(|dev| >= {l * c:4.2f}) = {tail:.6f}"
               f"   2 exp(-l c^2/2) = {azuma_bound(l, c):.6f}")
 

@@ -36,7 +36,7 @@ from .heights import (
     _envelope_window,
     _heights,
     _pinned_envelopes,
-    _plain_vertices,
+    _resolve_support,
     as_height_function,
     enumerate_extensions,
     extremal_boundary,
@@ -324,8 +324,8 @@ def dominance_sweep(
         window = (min(lo1, lo2), max(hi1, hi2))
         for d in range(draws):
             p = sample_potential(model, window, draw=first_draw + d)
-            mu = quenched_measure(region, pin_low, p, support=sup_low)
-            nu = quenched_measure(region, pin_high, p, support=sup_high)
+            mu = quenched_measure(region, sup_low.pinned, p, sup_low)
+            nu = quenched_measure(region, sup_high.pinned, p, sup_high)
             cert = dominance_certificate(mu, nu)
             checks += 1
             if cert.dominated:
@@ -410,23 +410,20 @@ def martingale_audit(
     vertices of the region to the target path[-1].  Member probabilities
     are annealed (exactly for finite-support models, else Monte Carlo).
     A given ``support`` must have been enumerated from ``pinned`` on
-    ``region``: its validated pinned data is used, and ``pinned`` must
-    agree with it, else ValueError.
+    ``region``, else ValueError.
     """
-    pinned_f = _support_pinned(region, pinned, support)
     walk = [tuple(v) for v in path]
     if len(walk) < 1:
         raise ValueError("empty walk")
     for v in walk:
         if v not in region:
             raise ValueError(f"walk vertex {v} lies outside the region")
-    if walk[0] not in pinned_f:
+    if walk[0] not in pinned:
         raise ValueError(f"walk must start at a pinned vertex, got {walk[0]}")
     for a, b in zip(walk, walk[1:]):
         if sum(abs(x - y) for x, y in zip(a, b)) != 1:
             raise ValueError(f"walk step {a} -> {b} is not a lattice edge")
-    if support is None:
-        support = enumerate_extensions(region, pinned_f)
+    support = _resolve_support(region, pinned, support)
     probs = annealed_member_probabilities(
         support, model, mode=mode, samples=samples, first_draw=first_draw
     )
@@ -475,31 +472,6 @@ def martingale_audit(
     return MartingaleAudit(
         tuple(walk), levels[0][()][1], tuple(levels), max_diff
     )
-
-
-def _support_pinned(
-    region: Region, pinned: Mapping[Vertex, int], support: ExtensionSet | None
-) -> HeightFunction:
-    """``pinned`` as a HeightFunction; with a ``support``, its pinned data.
-
-    A mapping equal to the support's data, with tuples of Python ints as
-    keys and Python ints as values, is taken as it is.  Anything else
-    goes through ``as_height_function``, which refuses what it refuses,
-    and must then equal the support's data.
-    """
-    if support is None:
-        return as_height_function(pinned)
-    if support.region is not region and support.region != region:
-        raise ValueError("support was enumerated on another region")
-    known = support.pinned
-    plain = (
-        known._map == pinned
-        and set(map(type, pinned.values())) <= {int}
-        and _plain_vertices(pinned)
-    )
-    if not plain and as_height_function(pinned) != known:
-        raise ValueError("support was enumerated from other pinned data")
-    return known
 
 
 def boundary_to_interior_walks(
@@ -566,12 +538,13 @@ def deviation_tail_exact(
     support: ExtensionSet,
     probs: np.ndarray,
     v: Vertex,
-    threshold: float,
-) -> float:
+    threshold: float | np.ndarray,
+) -> float | np.ndarray:
     """P(|h(v) - E h(v)| >= threshold) under member probabilities.
 
     ``probs`` holds one probability per member of ``support``, ``v`` is a
-    vertex of its region and ``threshold`` is not nan; else ValueError.
+    vertex of its region and no threshold is nan; else ValueError.  A
+    float threshold gives a float, an array of them an array of tails.
     """
     col = support.region._position.get(tuple(v))
     if col is None:
@@ -582,11 +555,14 @@ def deviation_tail_exact(
             f"probs must hold one probability per member ({len(support)}), "
             f"got shape {probs.shape}"
         )
-    if math.isnan(threshold):
+    thr = np.asarray(threshold, dtype=float)
+    ts = thr.ravel().tolist()
+    if any(map(math.isnan, ts)):
         raise ValueError("threshold must not be nan")
     vals = support.members_array[:, col].astype(float)
-    mean = float(vals @ probs)
-    return float(probs[np.abs(vals - mean) >= threshold].sum())
+    dev = np.abs(vals - float(vals @ probs))
+    tails = [float(probs[dev >= t].sum()) for t in ts]
+    return np.reshape(tails, thr.shape) if thr.ndim else tails[0]
 
 
 # ---------------------------------------------------------------------------

@@ -198,8 +198,12 @@ _CONCENTRATION_FLAGS = (
 def _cmd_concentration(args) -> int:
     cfg: dict[str, str] = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            cfg = parse_config(f.read())
+        try:
+            with open(args.config, "r", encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as err:
+            raise UsageError(f"{args.config}: {err}") from None
+        cfg = parse_config(text)
     for flag, key in _CONCENTRATION_FLAGS:
         if getattr(args, flag) is not None:
             cfg[key] = str(getattr(args, flag))
@@ -286,6 +290,7 @@ def _verify_dominance(args) -> list[str]:
 
 def _verify_martingale(args) -> list[str]:
     model = potential.PotentialModel("twopoint", 1.0, args.seed)
+    cs = (0.5, 1.0, 1.5, 2.0, 3.0)
     lines = []
     for n in (3, 4):
         region = lattice.make_box((0, 0), (n - 1, n - 1))
@@ -303,14 +308,12 @@ def _verify_martingale(args) -> list[str]:
             )
             worst = max(worst, audit.max_diff)
             length = len(walk)
-            for c in (0.5, 1.0, 1.5, 2.0, 3.0):
+            tails = analysis.deviation_tail_exact(
+                support, probs, walk[-1], [length * c for c in cs]
+            )
+            for c, tail in zip(cs, tails):
                 bound = analysis.azuma_bound(length, c)
-                if bound >= 1.0:
-                    continue
-                tail = analysis.deviation_tail_exact(
-                    support, probs, walk[-1], length * c
-                )
-                if tail > bound:
+                if bound < 1.0 and tail > bound:
                     raise VerificationFailure(
                         f"tail {tail:.3e} exceeds bound {bound:.3e} "
                         f"(walk {walk}, c={c})"
@@ -407,10 +410,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (UsageError, OSError) as err:  # OSError: no such file, a dir, ...
         print(f"error: {err}", file=sys.stderr)
         return 1
     except heights.NoExtensionError as err:

@@ -25,6 +25,7 @@ from .heights import (
     _check_nonempty,
     _envelope_window,
     _pinned_envelopes,
+    _resolve_support,
     enumerate_extensions,
     kirszbraun_extendable,
 )
@@ -187,11 +188,10 @@ def quenched_measure(
     """Gibbs measure on M(region; pinned) under the potential ``p``.
 
     Raises NoExtensionError when the pinned data is inextendable.  A
-    pre-enumerated ``support`` for the same data may be passed to avoid
-    re-enumeration.
+    ``support`` pre-enumerated from the same data on the same region may
+    be passed to avoid re-enumeration; any other raises ValueError.
     """
-    if support is None:
-        support = enumerate_extensions(region, pinned)
+    support = _resolve_support(region, pinned, support)
     _check_nonempty(support)
     lw = _hamiltonians(support, p.values, p.lo)
     return QuenchedMeasure(support, p, lw, float(_logsumexp(lw)))
@@ -324,9 +324,8 @@ def check_relative_complement_identity(
     S = (region \\ R') together with the relative boundary of R' must
     reproduce the quenched measure: edges strictly inside the rest of R'
     contribute a weight factor constant across members, which cancels.
-    Returns max_g |mu(g) - mu_localized(g)| / mu(g).  A pre-enumerated
-    ``support`` of the pinned data may be passed, as to
-    ``quenched_measure``.
+    Returns max_g |mu(g) - mu_localized(g)| / mu(g).  ``support`` is as
+    for ``quenched_measure``.
     """
     mu = quenched_measure(region, pinned, p, support)
     support = mu.support
@@ -352,13 +351,11 @@ def check_shift_identity(
     measure with the original data under the potential reindexed by 2
     (member g corresponds to g - 2).  ``p`` must cover the window of the
     raised data; the reindexed potential then covers the original.
-    Returns the max relative probability difference over members.  A
-    pre-enumerated ``support`` of the original data may be passed; the
-    raised data is always enumerated afresh, so that the member
-    alignment below is a real check.
+    Returns the max relative probability difference over members.
+    ``support`` is as for ``quenched_measure``; the raised data is always
+    enumerated afresh, so that the member alignment below is a real check.
     """
-    if support is None:
-        support = enumerate_extensions(region, pinned)
+    support = _resolve_support(region, pinned, support)
     mu_raised = quenched_measure(region, support.pinned.shift(2), p)
     mu_base = quenched_measure(region, support.pinned, shift_even(p, 2), support)
     if len(mu_raised) != len(mu_base):

@@ -612,6 +612,32 @@ def enumerate_extensions(
     return ExtensionSet(region, pinned_f, partials, base, _boundary=boundary)
 
 
+def _resolve_support(
+    region: Region, pinned: Mapping[Vertex, int], support: ExtensionSet | None
+) -> ExtensionSet:
+    """M(region; pinned): ``support`` when given, else enumerated.
+
+    A given support must have been enumerated on ``region`` from data
+    equal to ``pinned``, else ValueError.  Its own pinned data, and a
+    mapping equal to it with tuples of Python ints as keys and Python
+    ints as values, are taken in O(|pinned|) as they are; anything else
+    goes through ``as_height_function``, which refuses what it refuses.
+    """
+    if support is None:
+        return enumerate_extensions(region, pinned)
+    if support.region is not region and support.region != region:
+        raise ValueError("support was enumerated on another region")
+    known = support.pinned
+    plain = pinned is known or (
+        known._map == pinned
+        and set(map(type, pinned.values())) <= {int}
+        and _plain_vertices(pinned)
+    )
+    if not plain and as_height_function(pinned) != known:
+        raise ValueError("support was enumerated from other pinned data")
+    return support
+
+
 def extremal_boundary(
     region: Region, direction: int, anchor: int
 ) -> HeightFunction:

@@ -485,7 +485,9 @@ class TestMartingaleAudit:
         def no_work(*args, **kwargs):
             raise AssertionError("enumerated before checking the walk")
 
-        monkeypatch.setattr(analysis, "enumerate_extensions", no_work)
+        # the audit enumerates through the heights resolver
+        for mod in (analysis, heights):
+            monkeypatch.setattr(mod, "enumerate_extensions", no_work)
         monkeypatch.setattr(analysis, "annealed_member_probabilities", no_work)
         with pytest.raises(ValueError, match=r"\(-1, 0\) lies outside"):
             martingale_audit(
@@ -944,6 +946,32 @@ class TestTailBounds:
         for v in ((5,), (1, 1)):
             with pytest.raises(ValueError, match=r"v = .* lies outside"):
                 deviation_tail_exact(support, probs, v, 1.0)
+        for bad in ([1.0, math.nan], np.array([[0.5], [math.nan]])):
+            with pytest.raises(ValueError, match="threshold must not be nan"):
+                deviation_tail_exact(support, probs, (1,), bad)
+
+    def test_deviation_tail_takes_every_threshold_at_once(self):
+        ring = parity_height(BOX4).restrict(boundary(BOX4))
+        support = enumerate_extensions(BOX4, ring)
+        probs = annealed_member_probabilities(
+            support, PotentialModel("twopoint", 1.0, 3)
+        )
+        thresholds = [3 * c for c in (0.0, 0.25, 0.5, 1.0, 1.5, 3.0)]
+        one_by_one = [
+            deviation_tail_exact(support, probs, (1, 2), t) for t in thresholds
+        ]
+        assert all(type(t) is float for t in one_by_one)
+        assert len(set(one_by_one)) > 2  # the thresholds cut the support
+        at_once = deviation_tail_exact(support, probs, (1, 2), thresholds)
+        assert isinstance(at_once, np.ndarray) and at_once.shape == (6,)
+        assert list(map(float.hex, at_once.tolist())) == list(
+            map(float.hex, one_by_one)
+        )
+        grid = deviation_tail_exact(
+            support, probs, (1, 2), np.reshape(thresholds, (2, 3))
+        )
+        assert np.array_equal(grid, np.reshape(one_by_one, (2, 3)))
+        assert deviation_tail_exact(support, probs, (1, 2), []).shape == (0,)
 
 
 class TestBoundaryDataAndConfig:

@@ -130,12 +130,26 @@ class TestEnumerate:
         assert code == 1
         assert "error:" in err
 
-    def test_missing_file_exits_1(self, capsys):
-        code, _, err = run(
-            capsys, "enumerate", "--region-file", "/nonexistent.region",
-            "--boundary", "parity",
-        )
-        assert code == 1
+    def test_missing_file_exits_1(self, capsys, tmp_path):
+        # a missing file, a directory where a file belongs, and a config
+        # that is not UTF-8 each end in one error line, not a traceback
+        folder, csv = str(tmp_path), str(tmp_path / "r.csv")
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("ns = 3  # Größe\n".encode("latin-1"))
+        for argv in (
+            ["enumerate", "--region-file", "/nonexistent.region",
+             "--boundary", "parity"],
+            ["enumerate", "--region-file", folder, "--boundary", "parity"],
+            ["surface", "--n", "3", "--boundary-file", folder, "--out", csv],
+            ["surface", "--n", "3", "--sweeps", "1", "--out", folder],
+            ["concentration", "--config", folder, "--out", csv],
+            ["concentration", "--config", str(latin1), "--out", csv],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert err.startswith(f"error: {latin1}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_infeasible_witness_matches_kirszbraun(
         self, metric_instances, tmp_path, capsys

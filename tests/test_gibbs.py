@@ -25,7 +25,7 @@ import pytest
 import scipy
 from scipy.special import logsumexp
 
-from randomsurfaces import gibbs
+from randomsurfaces import gibbs, heights
 from randomsurfaces.gibbs import (
     annealed_expectation,
     annealed_member_probabilities,
@@ -638,7 +638,9 @@ class TestIdentities:
             calls.append(1)
             return enumerate_extensions(region, pinned)
 
-        monkeypatch.setattr(gibbs, "enumerate_extensions", counting)
+        # a support-less measure enumerates through the heights resolver
+        for mod in (gibbs, heights):
+            monkeypatch.setattr(mod, "enumerate_extensions", counting)
         samples = 24
         identity_check_suite(samples=samples, seed=1)
         # per trial: the data once, shared by both checks, and the raised
@@ -688,3 +690,71 @@ class TestIdentities:
         assert result.nontrivial_localizations >= 1
         assert result.max_relative_complement_gap <= 1e-12
         assert result.max_shift_gap <= 1e-12
+
+
+class TestSupportIsChecked:
+    """A support passed to a measure or an identity check must have been
+    enumerated on the given region from the given pinned data."""
+
+    RING = parity_height(BOX3).restrict(boundary(BOX3))
+    SUPPORT = enumerate_extensions(BOX3, RING)
+    LO, HI = required_window(BOX3, RING)
+    # covers the ring's window and, for the shift check, the raised one
+    P = sample_potential(PotentialModel("twopoint", 1.0, 6), (LO, HI + 2))
+
+    CALLS = {
+        "quenched_measure": lambda region, pinned, p, support: (
+            quenched_measure(region, pinned, p, support=support)
+        ),
+        "relative_complement": lambda region, pinned, p, support: (
+            check_relative_complement_identity(
+                region, [v for v, _ in pinned.items()], pinned, p,
+                support=support,
+            )
+        ),
+        "shift": lambda region, pinned, p, support: (
+            check_shift_identity(region, pinned, p, support=support)
+        ),
+    }
+
+    @pytest.mark.parametrize("call", CALLS, ids=list(CALLS))
+    @pytest.mark.parametrize("pinned", [
+        RING.shift(2), RING.shift(2).as_dict(), RING.shift(4),
+    ], ids=["shifted", "shifted dict", "shifted by 4"])
+    def test_support_of_other_pinned_data_is_refused(self, call, pinned):
+        with pytest.raises(ValueError, match="enumerated from other pinned"):
+            self.CALLS[call](BOX3, pinned, self.P, self.SUPPORT)
+
+    @pytest.mark.parametrize("call", CALLS, ids=list(CALLS))
+    def test_support_on_another_region_is_refused(self, call):
+        box34 = make_box((0, 0), (2, 3))
+        with pytest.raises(ValueError, match="enumerated on another region"):
+            self.CALLS[call](box34, self.RING, self.P, self.SUPPORT)
+
+    @staticmethod
+    def outcome(result):
+        if isinstance(result, float):
+            return result.hex()
+        return (result.log_weights.tobytes(), result.log_z.hex(),
+                result.support.offsets.tobytes(), result.support.base)
+
+    @pytest.mark.parametrize("call", CALLS, ids=list(CALLS))
+    @pytest.mark.parametrize("form", [
+        "plain dict", "equal HeightFunction", "equal Region", "support's own",
+    ])
+    def test_equal_data_in_another_form_is_taken(self, call, form):
+        region, pinned = BOX3, self.RING
+        if form == "plain dict":
+            pinned = self.RING.as_dict()
+        elif form == "equal HeightFunction":
+            pinned = HeightFunction(self.RING.domain, self.RING.heights)
+        elif form == "equal Region":
+            region = Region(BOX3.vertex_list)
+        else:
+            pinned = self.SUPPORT.pinned
+        run = self.CALLS[call]
+        want = run(BOX3, self.RING, self.P, None)
+        got = run(region, pinned, self.P, self.SUPPORT)
+        assert self.outcome(got) == self.outcome(want)
+        if call == "quenched_measure":
+            assert got.support is self.SUPPORT

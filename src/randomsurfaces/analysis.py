@@ -17,6 +17,7 @@ Three layers:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -616,6 +617,10 @@ class ExperimentConfig:
         for key in ("ns", "c_values"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must name at least one value")
+        # checked up front: a bad size would fail only after the sizes
+        # before it had run
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in self.ns):
+            raise ValueError(f"ns must be integers >= 1, got {self.ns}")
         _check_finite_positive("A", self.A)
         _check_finite_positive("c_values", self.c_values)
         _check_sampling_knobs(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import Sequence
 
@@ -102,6 +103,21 @@ def _model(args) -> potential.PotentialModel:
         raise UsageError(str(err)) from None
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that cannot be written, before the work.
+
+    The checks only read the file system, so a refused run leaves no
+    file behind; the final write still maps any other OSError to exit 1.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path}: is a directory")
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise UsageError(f"--out {path}: directory {parent} is not writable")
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
@@ -139,6 +155,7 @@ def _cmd_surface(args) -> int:
     region = lattice.make_box((0, 0), (args.n - 1, args.n - 1))
     data = _load_boundary(args, region)
     model = _model(args)
+    _check_out(args.out)
     try:
         envelopes = heights._pinned_envelopes(region, data)
     except heights.NoExtensionError:
@@ -208,6 +225,7 @@ def _cmd_concentration(args) -> int:
         if getattr(args, flag) is not None:
             cfg[key] = str(getattr(args, flag))
     config = _experiment_config(cfg)
+    _check_out(args.out)
     try:
         report = analysis.concentration_experiment(config)
     except ValueError as err:

@@ -136,14 +136,7 @@ def coupled_run(
     AssertionError on violation — which would indicate a broken update
     rule.
     """
-    try:
-        steps = operator.index(steps)
-    except TypeError:
-        raise ValueError(
-            f"number of steps must be an integer, got {steps!r}"
-        ) from None
-    if steps < 0:
-        raise ValueError(f"number of steps must be >= 0, got {steps}")
+    steps = _count(steps, "steps")
     env_low = _pinned_envelopes(region, pinned_low)
     env_high = _pinned_envelopes(region, pinned_high)
     if env_low[0] != env_high[0]:
@@ -155,7 +148,8 @@ def coupled_run(
     free = int((~eng.pinned_mask).sum())
     sweeps = -(-steps // free) if free else 0
     h = eng._h  # (storage rows, 2), written in place by every half-sweep
-    for t, _ in enumerate(eng._half_sweeps(sweeps)):
+    for t in range(2 * sweeps):
+        eng.half_sweep(t % 2)
         if (h[:, 0] > h[:, 1]).any():
             low, high = eng.height_matrix()
             v = region.vertex_list[int(np.argmax(low > high))]
@@ -164,6 +158,19 @@ def coupled_run(
             )
     rows = eng.height_matrix().tolist()
     return tuple(HeightFunction._trusted(region.vertex_list, tuple(r)) for r in rows)
+
+
+def _count(value, what: str) -> int:
+    """``value`` as an int >= 0, else ValueError naming the number of ``what``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"number of {what} must be an integer, got {value!r}"
+        ) from None
+    if value < 0:
+        raise ValueError(f"number of {what} must be >= 0, got {value}")
+    return value
 
 
 def sample_indices(
@@ -294,8 +301,8 @@ class BoxGlauber:
     last; a half-sweep gathers each free site's neighbour rows through a
     (k, sites) slot matrix, padded by repeating a real neighbour, and
     writes the new heights into its block's rows in place.  Its
-    intermediates go to work arrays that ``sweep`` builds once per call
-    and both parities share.
+    intermediates go to work arrays that both parities share, built with
+    the engine and kept for its life.
 
     ``height_matrix()`` (int64, rows aligned with ``region.vertex_list``)
     and ``heights`` undo the permutation on each call.  On a box, in
@@ -352,12 +359,20 @@ class BoxGlauber:
         self.pinned_mask = pinned_flat.reshape(self.shape)
 
         parity = coords.sum(axis=1) % 2
-        # per distinct envelope triple (groups may share one): its
-        # envelopes and the start they give
-        starts = {}
+        # sites-major storage: free sites of parity 0, of parity 1, pinned
+        blocks = [
+            np.flatnonzero(~pinned_flat & (parity == par)) for par in (0, 1)
+        ]
+        order = np.concatenate(blocks + [np.flatnonzero(pinned_flat)])
+        self._slot = np.empty_like(order)  # vertex position -> storage row
+        self._slot[order] = np.arange(order.size)
+        dtype = next(
+            t for t in (np.int8, np.int16, np.int32, np.int64)
+            if np.iinfo(t).min <= win[0] - 2 and win[1] + 2 <= np.iinfo(t).max
+        )
+        neighbours = [_neighbor_slots(region, sites) for sites in blocks]
+        inits = []
         for env in envelopes:
-            if id(env) in starts:
-                continue
             # the window must cover every edge minimum between the envelopes
             lo, hi = _envelope_window(env)
             if not potentials[0].covers(lo, hi):
@@ -373,20 +388,9 @@ class BoxGlauber:
                 # function, and this start sits near the equilibrium plateau
                 t = int(np.round((low + high).mean() / 2.0))
                 init = np.clip(t + (t + parity) % 2, low, high)
-            starts[id(env)] = (low, high, init)
-
-        # sites-major storage: free sites of parity 0, of parity 1, pinned
-        blocks = [
-            np.flatnonzero(~pinned_flat & (parity == par)) for par in (0, 1)
-        ]
-        order = np.concatenate(blocks + [np.flatnonzero(pinned_flat)])
-        self._slot = np.empty_like(order)  # vertex position -> storage row
-        self._slot[order] = np.arange(order.size)
-        dtype = next(
-            t for t in (np.int8, np.int16, np.int32, np.int64)
-            if np.iinfo(t).min <= win[0] - 2 and win[1] + 2 <= np.iinfo(t).max
-        )
-        inits = [starts[id(env)][2][order].astype(dtype) for env in envelopes]
+            inits.append(init[order].astype(dtype))
+            for _, nb in neighbours:
+                _check_table_reach(nb, low, high, win)
         self._h = np.repeat(
             np.stack(inits, axis=1), [c for _, c in self._groups], axis=1
         )
@@ -401,23 +405,21 @@ class BoxGlauber:
         self._slots: list[np.ndarray] = []  # (k, sites) storage rows
         self._base: list[np.ndarray] = []  # (sites, batch)
         top = 0
-        for sites in blocks:
+        for sites, (k, nb) in zip(blocks, neighbours):
             self._blocks.append(slice(top, top + sites.size))
             top += sites.size
-            k, nb = _neighbor_slots(region, sites)
-            for low, high, _ in starts.values():
-                _check_table_reach(nb, low, high, win)
             self._slots.append(np.ascontiguousarray(self._slot[nb].T))
             self._base.append(brow + (k[:, None] * tab.shape[-1] - win[0]))
-        self._work: list[tuple[np.ndarray, ...]] | None = None
+        self._work = self._work_arrays()
 
     def _work_arrays(self) -> list[tuple[np.ndarray, ...]]:
         """Per parity: neighbour heights, mn, mx, table index, P(up),
         uniforms (chains-major), down and free-choice arrays.
 
-        Each kind is one buffer, sized for the larger block; the two
-        parities take views of its start.  The uniforms reuse the table
-        index's memory, which is dead once P(up) is read.
+        Built once in ``__init__`` and again by ``_keep_first_group`` for
+        its narrower batch.  Each kind is one buffer, sized for the larger
+        block; the two parities take views of its start.  The uniforms
+        reuse the table index's memory, which is dead once P(up) is read.
 
         The buffers are kept for speed, not for the result: a half-sweep
         that allocates fresh temporaries ends in bit-identical heights and
@@ -457,8 +459,7 @@ class BoxGlauber:
         slots = self._slots[parity]
         if slots.shape[1] == 0:
             return
-        work = self._work if self._work is not None else self._work_arrays()
-        nvs, mn, mx, idx, p_up, u, down, free = work[parity]
+        nvs, mn, mx, idx, p_up, u, down, free = self._work[parity]
         h = self._h
         # every slot is a storage row, and every index lies in the table
         # (_check_table_reach), so "clip" never clips; "raise" would copy
@@ -481,30 +482,9 @@ class BoxGlauber:
         out -= step
 
     def sweep(self, n: int = 1) -> None:
-        for _ in self._half_sweeps(n):
-            pass
-
-    def _half_sweeps(self, n: int):
-        """Run ``n`` sweeps, yielding after each half-sweep.
-
-        The work arrays are built once for all of them.
-        """
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(
-                f"number of sweeps must be an integer, got {n!r}"
-            ) from None
-        if n < 0:
-            raise ValueError(f"number of sweeps must be >= 0, got {n}")
-        self._work = self._work_arrays()
-        try:
-            for _ in range(n):
-                for parity in (0, 1):
-                    self.half_sweep(parity)
-                    yield
-        finally:
-            self._work = None
+        for _ in range(_count(n, "sweeps")):
+            self.half_sweep(0)
+            self.half_sweep(1)
 
     def _keep_first_group(self) -> np.ndarray:
         """Drop every chain outside the first group; return their heights.
@@ -514,6 +494,7 @@ class BoxGlauber:
         dropped chains' heights come as a (chains, region size) array in
         the storage dtype, rows aligned with ``region.vertex_list``.
         """
+        del self._work  # the wide buffers go before the narrow ones come
         chains = self._groups[0][1]
         dropped = self._h[:, chains:].take(self._slot, axis=0).T
         per_chain = self._table.size // self.batch
@@ -522,6 +503,7 @@ class BoxGlauber:
         self._h = np.ascontiguousarray(self._h[:, :chains])
         self._table = self._table[: chains * per_chain].copy()
         self._base = [np.ascontiguousarray(b[:, :chains]) for b in self._base]
+        self._work = self._work_arrays()
         return dropped
 
     @property

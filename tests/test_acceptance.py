@@ -285,13 +285,13 @@ def test_05_value_revealing_martingale(report):
             audit = martingale_audit(box, ring, walk, model, support=support)
             worst_increment = max(worst_increment, audit.max_diff)
             length = len(walk)
-            for c in c_grid:
+            tails = deviation_tail_exact(
+                support, probs, walk[-1], [length * c for c in c_grid]
+            )
+            for c, tail in zip(c_grid, tails):
                 bound = azuma_bound(length, c)
                 if bound >= 1.0:
                     continue
-                tail = deviation_tail_exact(
-                    support, probs, walk[-1], length * c
-                )
                 tail_checks += 1
                 tail_failures += tail > bound
     elapsed = time.monotonic() - t0

@@ -1023,6 +1023,10 @@ class TestBoundaryDataAndConfig:
             ("direction", 2),
             ("direction", 0),
             ("mode", "sampled"),
+            ("ns", (25, 0)),
+            ("ns", (9, -3)),
+            ("ns", (9, 2.5)),
+            ("ns", ("9",)),
         ],
     )
     def test_experiment_rejects_bad_counts(self, key, value):
@@ -1069,6 +1073,8 @@ class TestBoundaryDataAndConfig:
             burn_factor=0.0, thin_factor=0.0,
         )
         assert cfg.tail_samples == 1 and cfg.thin_factor == 0.0
+        # a 1x1 box is all boundary, and runs
+        assert ExperimentConfig(ns=(1, np.int64(3))).ns == (1, 3)
 
     def test_report_row_slack(self):
         assert ReportRow(3, 1.0, 0, 0.0, 0.5, 0.0).slack() == 0.0

@@ -184,6 +184,22 @@ class TestEnumerate:
         assert checked > 100
 
 
+def unwritable_outs(tmp_path, monkeypatch):
+    """(--out path, error) pairs: a directory, a missing directory, and a
+    directory that os.access reports as not writable."""
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    yield str(tmp_path), "is a directory"
+    missing = tmp_path / "missing"
+    yield str(missing / "r.out"), f"no directory {missing}"
+    real_access = cli.os.access
+    monkeypatch.setattr(
+        cli.os, "access",
+        lambda path, mode: path != str(locked) and real_access(path, mode),
+    )
+    yield str(locked / "r.out"), f"directory {locked} is not writable"
+
+
 class TestSurface:
     def test_zero_steps_writes_minimal_extension(self, tmp_path, capsys):
         out_file = tmp_path / "surface.grid"
@@ -314,6 +330,24 @@ class TestSurface:
             "--out", str(tmp_path / "x.grid"),
         )
         assert code == 1
+
+    def test_unwritable_out_exits_1_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a 100x100 box sweeps for seconds before the write would fail
+        from randomsurfaces import sampler
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("swept before checking --out")
+
+        monkeypatch.setattr(sampler, "BoxGlauber", no_work)
+        for out_path, message in unwritable_outs(tmp_path, monkeypatch):
+            code, out, err = run(
+                capsys, "surface", "--n", "100", "--out", out_path,
+            )
+            assert code == 1
+            assert out == "" and err == f"error: --out {out_path}: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["locked"]
 
 
 class TestConcentration:
@@ -522,6 +556,49 @@ class TestConcentration:
         )
         assert code == 1
         assert err.startswith(f"error: bad config value: {key} must be ")
+        assert out == "" and not out_file.exists()
+
+    def test_unwritable_out_exits_1_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from randomsurfaces import analysis
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran the experiment before checking --out")
+
+        monkeypatch.setattr(analysis, "concentration_experiment", no_work)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("ns = 25\ntail_samples = 400\n")
+        for out_path, message in unwritable_outs(tmp_path, monkeypatch):
+            code, out, err = run(
+                capsys, "concentration", "--config", str(cfg),
+                "--out", out_path,
+            )
+            assert code == 1
+            assert out == "" and err == f"error: --out {out_path}: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "exp.cfg", "locked",
+        ]
+
+    def test_bad_box_size_exits_1_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the 3x3 report used to run before the empty 0x0 box was refused
+        from randomsurfaces import analysis
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a box before checking the sizes")
+
+        monkeypatch.setattr(analysis, "make_box", no_work)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("ns = 3, 0\nmodel = twopoint:a=1\nmode = exact\n")
+        out_file = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "concentration", "--config", str(cfg),
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert err == "error: bad config value: ns must be integers >= 1, got (3, 0)\n"
         assert out == "" and not out_file.exists()
 
     def test_flag_overrides(self, tmp_path, capsys):

@@ -853,8 +853,15 @@ class TestChainGroups:
             assert [list(f.heights)] == alone.height_matrix().tolist()
             assert rng.bit_generator.state == alone_rng.bit_generator.state
 
-    @pytest.mark.parametrize("region,pinned", GROUP_CASES, ids=GROUP_IDS)
-    def test_narrowed_engine_equals_first_group_alone(self, region, pinned):
+    @pytest.mark.parametrize(
+        "region,pinned,halves",
+        [(*case, False) for case in GROUP_CASES] + [(*GROUP_CASES[2], True)],
+        ids=GROUP_IDS + ["L-shape-half-sweeps"],
+    )
+    def test_narrowed_engine_equals_first_group_alone(self, region, pinned,
+                                                      halves):
+        # the narrowed engine goes on by sweeps, or by direct half-sweeps
+        # on the work arrays rebuilt for its batch
         joint, gens, alone, alone_gens = two_groups(
             region, pinned, "twopoint", "mid"
         )
@@ -864,7 +871,11 @@ class TestChainGroups:
         dropped = joint._keep_first_group()
         assert np.array_equal(dropped, alone[1].height_matrix())
         assert joint.batch == 3 and joint.heights.shape[0] == 3
-        joint.sweep(11)
+        if halves:
+            for t in range(22):
+                joint.half_sweep(t % 2)
+        else:
+            joint.sweep(11)
         alone[0].sweep(11)
         assert np.array_equal(joint.height_matrix(), alone[0].height_matrix())
         assert states(gens[:1]) == states(alone_gens[:1])
@@ -916,6 +927,23 @@ class TestChainGroups:
             eng.sweep(20)
         for a, b in zip(mixed, apart):
             assert np.array_equal(a.height_matrix(), b.height_matrix())
+
+    def test_half_sweeps_allocate_no_work_arrays(self):
+        # the engine builds its work arrays once; a half-sweep called on
+        # its own reads them and allocates less than one of them
+        pinned = ring(BOX25)
+        pots = group_potentials(BOX25, pinned, "uniform", 0, 50)
+        eng = BoxGlauber(BOX25, pinned, pots, np.random.default_rng(3))
+        # the int64 table index of the larger parity block
+        buffer = 8 * max(s.shape[1] for s in eng._slots) * eng.batch
+        tracemalloc.start()
+        try:
+            for t in range(10):
+                eng.half_sweep(t % 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < buffer
 
     @pytest.mark.parametrize("parity", [-1, 2, 3])
     def test_half_sweep_rejects_other_parities(self, parity):

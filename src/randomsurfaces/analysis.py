@@ -32,11 +32,9 @@ from .gibbs import (
 from .heights import (
     ExtensionSet,
     HeightFunction,
-    _Envelopes,
-    _check_nonempty,
-    _envelope_window,
+    _Boundary,
+    _boundary,
     _heights,
-    _pinned_envelopes,
     _resolve_support,
     as_height_function,
     enumerate_extensions,
@@ -318,10 +316,8 @@ def dominance_sweep(
             raise ValueError(f"pair {k}: pinned sets differ")
         if not sup_low.pinned.le(sup_high.pinned):
             raise ValueError(f"pair {k}: boundary data not ordered")
-        _check_nonempty(sup_low)
-        _check_nonempty(sup_high)
-        lo1, hi1 = _envelope_window(sup_low._boundary)
-        lo2, hi2 = _envelope_window(sup_high._boundary)
+        lo1, hi1 = sup_low._boundary.check().window
+        lo2, hi2 = sup_high._boundary.check().window
         window = (min(lo1, lo2), max(hi1, hi2))
         for d in range(draws):
             p = sample_potential(model, window, draw=first_draw + d)
@@ -635,13 +631,16 @@ class ExperimentConfig:
 def _check_sampling_knobs(
     counts: Mapping[str, int], factors: Mapping[str, float]
 ) -> None:
-    """Reject counts below 1 and factors that are negative or not finite.
+    """Reject counts that are not integers >= 1 and factors that are
+    negative or not finite.
 
     The error names the offending argument.  Burn and thin lengths are
     ``round(factor * span^2)`` sweeps, so a factor must be a finite
     number >= 0.
     """
     for key, value in counts.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{key} must be >= 1, got {value}")
     for key, value in factors.items():
@@ -764,21 +763,18 @@ def _mean_field(
 
 
 def _sampled_deviations(
-    region: Region,
-    envelopes: _Envelopes,
+    boundary: _Boundary,
     config: ExperimentConfig,
     seed_key: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max-over-vertices |h - annealed mean|, one per fresh draw, by MCMC.
 
-    ``envelopes`` is the boundary triple of the pinned data (its
-    positions and its minimal and maximal extensions, from
-    ``heights._pinned_envelopes``); the potentials live on the window
-    between the extensions.  Every chain runs
-    under its own potential draw and is burned in for
-    burn_factor * span^2 sweeps.  Two groups of chains share one engine
-    and are burned together: ``config.mean_draws`` mean-field chains
-    from draw ``_MEAN_DRAW_OFFSET`` on, on generator seed
+    ``boundary`` is the pinned data's ``heights._Boundary``; the
+    potentials live on its window, between the minimal and maximal
+    extensions.  Every chain runs under its own potential draw and is
+    burned in for burn_factor * span^2 sweeps.  Two groups of chains
+    share one engine and are burned together: ``config.mean_draws``
+    mean-field chains from draw ``_MEAN_DRAW_OFFSET`` on, on generator seed
     ``seed_key + (1,)``, then ``config.tail_samples`` tail chains from
     draws 0, 1, ... on seed ``seed_key + (2,)``.  Each group draws its
     uniforms from its own generator, so both go through exactly the
@@ -787,7 +783,7 @@ def _sampled_deviations(
     mean-field chains, which go on to sample the mean.  Returns
     (deviations, mean-field standard errors).
     """
-    window = _envelope_window(envelopes)
+    window = boundary.window
     span = window[1] - window[0] + 2  # height levels in play
     burn = max(50, int(round(config.burn_factor * span * span)))
     thin = max(1, int(round(config.thin_factor * span * span)))
@@ -801,8 +797,8 @@ def _sampled_deviations(
             sample_potential(config.model, window, draw=first_draw + d)
             for d in range(chains)
         ]
-        groups.append((envelopes, rng, pots))
-    eng = BoxGlauber(region, start=config.start, _groups=groups)
+        groups.append((boundary, rng, pots))
+    eng = BoxGlauber(boundary.region, start=config.start, _groups=groups)
     eng.sweep(burn)
     tails = eng._keep_first_group()
     mean, stderr = _mean_field(eng, config.mean_samples_per_draw, thin)
@@ -845,16 +841,16 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
         # each mode gives the max deviations and its tail rule at a threshold
         if config.mode == "exact":
             support = enumerate_extensions(region, pinned)
-            envelopes = support._boundary
+            boundary = support._boundary
             probs = annealed_member_probabilities(support, config.model)
             vals = support.members_array.astype(float)
             devs = np.abs(vals - probs @ vals).max(axis=1)
             tail = lambda thr: float(probs[devs >= thr].sum())
             samples, stderr_max = 0, 0.0
         else:
-            envelopes = _pinned_envelopes(region, pinned)
+            boundary = _boundary(region, pinned).check()
             devs, stderr = _sampled_deviations(
-                region, envelopes, config, (config.seed, n)
+                boundary, config, (config.seed, n)
             )
             tail = lambda thr: float((devs >= thr).mean())
             samples, stderr_max = config.tail_samples, float(stderr.max())
@@ -867,7 +863,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
         ]
         summaries.append(
             SizeSummary(
-                n, len(region), diam, max_l, _envelope_window(envelopes),
+                n, len(region), diam, max_l, boundary.window,
                 samples, stderr_max,
                 tuple((q, float(np.quantile(devs, q))) for q in _QUANTILES),
             )
@@ -925,7 +921,7 @@ def scaling_check(
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, boundary_kind, direction)
         devs[n], _ = _sampled_deviations(
-            region, _pinned_envelopes(region, pinned), config, (seed, 7, tag)
+            _boundary(region, pinned).check(), config, (seed, 7, tag)
         )
     small = devs[n_small] / n_small
     large = devs[n_large] / n_large

@@ -134,7 +134,7 @@ def _cmd_enumerate(args) -> int:
         support = heights.enumerate_extensions(region, data)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    heights._check_nonempty(support)
+    support._boundary.check()
     print(f"extensions: {len(support)}")
     if args.list:
         print("vertices: " + "  ".join(_fmt_vertex(v) for v in region))
@@ -157,12 +157,10 @@ def _cmd_surface(args) -> int:
     model = _model(args)
     _check_out(args.out)
     try:
-        envelopes = heights._pinned_envelopes(region, data)
-    except heights.NoExtensionError:
-        raise
+        boundary = heights._boundary(region, data)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    window = heights._envelope_window(envelopes)
+    window = boundary.check().window
     p = potential.sample_potential(model, window, draw=0)
     sweeps = args.sweeps
     if sweeps is None:
@@ -170,7 +168,7 @@ def _cmd_surface(args) -> int:
         span = window[1] - window[0] + 2
         sweeps = 10 * span * span
     rng = np.random.default_rng([args.seed, 17])
-    eng = sampler.BoxGlauber(region, _groups=[(envelopes, rng, [p])])
+    eng = sampler.BoxGlauber(region, _groups=[(boundary, rng, [p])])
     eng.sweep(sweeps)
     grid = eng.heights[0]
     _write_text(args.out, heights.format_grid(grid))
@@ -186,20 +184,29 @@ def _experiment_config(cfg: dict[str, str]) -> analysis.ExperimentConfig:
     unknown = set(cfg) - set(fields)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+
+    def parse(key, read):
+        try:
+            return read(cfg[key])
+        except ValueError as err:
+            raise UsageError(f"bad config value for {key}: {err}") from None
+
+    seed = parse("seed", int) if "seed" in cfg else fields["seed"]
+    values = {"seed": seed, "model": fields["model"].with_seed(seed)}
+    if "model" in cfg:
+        values["model"] = parse(
+            "model", lambda text: potential.parse_model(text, seed=seed)
+        )
+    for key, default in fields.items():
+        if key in cfg and key not in values:
+            if isinstance(default, tuple):
+                item = type(default[0])
+                values[key] = parse(
+                    key, lambda text: tuple(map(item, _split_list(text)))
+                )
+            else:
+                values[key] = parse(key, type(default))
     try:
-        seed = int(cfg.get("seed", fields["seed"]))
-        values = {
-            "model": potential.parse_model(cfg["model"], seed=seed)
-            if "model" in cfg
-            else fields["model"].with_seed(seed)
-        }
-        for key, default in fields.items():
-            if key in cfg and key != "model":
-                if isinstance(default, tuple):
-                    parse = type(default[0])
-                    values[key] = tuple(map(parse, _split_list(cfg[key])))
-                else:
-                    values[key] = type(default)(cfg[key])
         return analysis.ExperimentConfig(**values)
     except ValueError as err:
         raise UsageError(f"bad config value: {err}") from None
@@ -288,7 +295,7 @@ def _verify_dominance(args) -> list[str]:
         )
     # reversed data must be caught
     support = heights.enumerate_extensions(region, ring)
-    wlo, whi = heights._envelope_window(support._boundary)
+    wlo, whi = support._boundary.window
     p = potential.sample_potential(model, (wlo, whi + 4), draw=0)
     mu = gibbs.quenched_measure(region, ring.shift(2), p)
     nu = gibbs.quenched_measure(region, ring, p, support)

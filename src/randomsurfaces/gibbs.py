@@ -22,9 +22,7 @@ import numpy as np
 from .heights import (
     ExtensionSet,
     HeightFunction,
-    _check_nonempty,
-    _envelope_window,
-    _pinned_envelopes,
+    _boundary,
     _resolve_support,
     enumerate_extensions,
     kirszbraun_extendable,
@@ -192,7 +190,7 @@ def quenched_measure(
     be passed to avoid re-enumeration; any other raises ValueError.
     """
     support = _resolve_support(region, pinned, support)
-    _check_nonempty(support)
+    support._boundary.check()
     lw = _hamiltonians(support, p.values, p.lo)
     return QuenchedMeasure(support, p, lw, float(_logsumexp(lw)))
 
@@ -213,7 +211,7 @@ def required_window(
     Heights of extensions live in [lo, hi] (see ``height_window``), so
     edges feel indices lo..hi-1.
     """
-    return _envelope_window(_pinned_envelopes(region, pinned))
+    return _boundary(region, pinned).check().window
 
 
 def _annealed_weights_by_potential(
@@ -228,8 +226,7 @@ def _annealed_weights_by_potential(
     Returns (prob_matrix, pot_weights): prob_matrix[i, j] is the quenched
     probability of member j under potential i.
     """
-    _check_nonempty(support)
-    lo, hi = _envelope_window(support._boundary)
+    lo, hi = support._boundary.check().window
     if mode == "exact":
         pots = enumerate_potentials(model, (lo, hi))
         values = np.stack([p.values for p, _ in pots])
@@ -331,7 +328,7 @@ def check_relative_complement_identity(
     support = mu.support
     if set(support.pinned.domain) != {tuple(v) for v in sub}:
         raise ValueError("sub must be the pinned vertex set")
-    touch = _active_edges(region, support._boundary[0])
+    touch = _active_edges(region, support._boundary.positions)
     lw = _hamiltonians(support, p.values, p.lo, touch)
     local_probs = np.exp(lw - _logsumexp(lw))
     return float(
@@ -490,10 +487,11 @@ def identity_check_suite(samples: int = 100, seed: int = 0) -> IdentitySuiteResu
             else PotentialModel("twopoint", 1.0, seed + 2)
         )
         support = enumerate_extensions(region, data)
-        wlo, whi = _envelope_window(support._boundary)
+        wlo, whi = support._boundary.window
         p = sample_potential(model, (wlo, whi + 2), draw=trial)
         # the localized route omits an edge's weight as constant
-        nontrivial += not _active_edges(region, support._boundary[0]).all()
+        pinned_at = support._boundary.positions
+        nontrivial += not _active_edges(region, pinned_at).all()
         worst_rel = max(
             worst_rel,
             check_relative_complement_identity(

@@ -8,17 +8,19 @@ height functions on R agreeing with h on R'.  Extendability is a metric
 condition (see ``kirszbraun_extendable``): pinned values may not differ
 by more than the within-region graph distance.
 
-This module owns the one internal form of boundary data.  Pinned data is
-validated once (``_pinned_map``) into its region positions in ascending
-order, which is the lexicographic vertex order, with their values as
-Python ints.  Its envelopes, the minimal and maximal extensions, are
-int64 arrays aligned with ``region.vertex_list``; ``_pinned_envelopes``
-returns (positions, low, high), and the sampler, the experiments and the
-CLI pass that triple on as it is.  Each ``ExtensionSet`` keeps the triple
-it was enumerated from, and the exact layer reads the pinned positions,
-the potential window and the witness of an empty set there.
-``HeightFunction`` is the form of the public API and of the height files
-only: public functions wrap the arrays in it when they return.
+This module owns the one internal form of boundary data, the private
+record ``_Boundary``, built by ``_boundary(region, pinned)``: the pinned
+data validated once into its region positions in ascending order, which
+is the lexicographic vertex order, with their values as Python ints, and
+its envelopes, the minimal and maximal extensions, as int64 arrays
+aligned with ``region.vertex_list``.  The record also gives the
+potential window between the envelopes, the pinned data as a
+``HeightFunction`` and the witness of data with no extension.  The
+sampler, the experiments and the CLI read its fields by name, and each
+``ExtensionSet`` keeps the record it was enumerated from, so the exact
+layer validates no pinned data again.  ``HeightFunction`` is the form
+of the public API and of the height files only: public functions wrap
+the arrays in it when they return.
 """
 
 from __future__ import annotations
@@ -261,15 +263,15 @@ def _plain_vertices(keys: Iterable) -> bool:
     ) <= {int}
 
 
-def _pinned_map(region: Region, pinned: Mapping[Vertex, int]) -> tuple[list, list]:
-    """The pinned data, checked to be a height function in region, as
-    region positions in ascending order and their values as Python ints.
+def _boundary(region: Region, pinned: Mapping[Vertex, int]) -> _Boundary:
+    """The pinned data on ``region`` as a ``_Boundary``, validated once.
 
-    Ascending positions are the lexicographic vertex order.  Keys (the
-    domain of a HeightFunction) that are all tuples of Python ints and
-    all region vertices pass ``_check_vertex`` as they are, so they are
-    taken without it; any other keys go through it, which raises its own
-    errors in key order.
+    Keys that are all tuples of Python ints and all region vertices (the
+    domain of a HeightFunction) are taken as they are; any other keys go
+    through ``_check_vertex``, which raises its own errors in key order.
+    Data that is not a nonempty height function in int64 on region
+    vertices raises ValueError, as do values that put an envelope outside
+    int64.  Data with no extension does not raise: ``check`` does.
     """
     hf = isinstance(pinned, HeightFunction)
     keys = list(pinned.domain if hf else pinned)
@@ -291,22 +293,7 @@ def _pinned_map(region: Region, pinned: Mapping[Vertex, int]) -> tuple[list, lis
         raise ValueError("pinned values must fit in int64")
     if not _is_height_function_at(region, at, zs):
         raise ValueError("pinned data is not a valid height function")
-    at, zs = zip(*sorted(zip(at, zs)))
-    return list(at), list(zs)
-
-
-def _envelopes(
-    region: Region, at: list[int], zs: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise greatest lower / least upper height bounds from pinned data.
-
-    low(v) = max_x (h(x) - d_R(x, v)),  high(v) = min_x (h(x) + d_R(x, v)),
-    for the values ``zs`` pinned at the positions ``at``.  One
-    ``lattice._distances`` pass each (the l1 closed form on a large box,
-    an offset BFS elsewhere): high with the pinned values as offsets, low
-    with their negatives, negated back.  Pinned values that put either
-    envelope outside int64 raise ValueError.
-    """
+    at, zs = map(list, zip(*sorted(zip(at, zs))))
     try:
         high = _distances(region, at, zs)
         low = -_distances(region, at, [-z for z in zs])
@@ -315,30 +302,74 @@ def _envelopes(
             "pinned values put the height envelopes outside the int64 range "
             f"[{_INT64_MIN}, {_INT64_MAX}]"
         ) from None
-    return low, high
+    return _Boundary(region, at, zs, low, high)
 
 
-def _first_violation(
-    region: Region, at: list[int], zs: list[int], low: np.ndarray, high: np.ndarray
-) -> tuple[Vertex, Vertex, int, int] | None:
-    """The first pinned pair in sorted (x, y) order with a gap over d_R(x, y).
+@dataclass(frozen=True, eq=False)
+class _Boundary:
+    """Pinned data on a region with its envelopes, built by ``_boundary``.
 
-    ``at`` and ``zs`` are the pinned positions, ascending, and values.  A
-    pinned x belongs to some violating pair exactly when its own value
-    leaves its envelopes: high(x) < h(x) when some y lies more than
-    d_R(x, y) below it, low(x) > h(x) when some y lies above.  So x is
-    read off the envelopes, and the single-source distances from x (from
-    ``lattice._distances``, so the closed form on a large box) name y.
+    ``positions`` are the pinned region positions in ascending order (the
+    lexicographic vertex order), ``values`` their heights as Python ints.
+    ``low`` and ``high``, int64 arrays aligned with ``region.vertex_list``,
+    are max_x (h(x) - d_R(x, v)) and min_x (h(x) + d_R(x, v)), one
+    ``lattice._distances`` pass each: the minimal and maximal extensions,
+    between which every extension lies, or low > high somewhere when
+    there is none.
     """
-    outside = np.flatnonzero((high[at] < zs) | (low[at] > zs))
-    vs = region.vertex_list
-    for k in outside.tolist():
-        dist = _distances(region, [at[k]], [0]).tolist()
-        for j, zy in zip(at, zs):
-            gap = abs(zs[k] - zy)
-            if gap > dist[j]:
-                return (vs[at[k]], vs[j], gap, dist[j])
-    return None
+
+    region: Region
+    positions: list[int]
+    values: list[int]
+    low: np.ndarray = field(repr=False)
+    high: np.ndarray = field(repr=False)
+
+    @cached_property
+    def pinned(self) -> HeightFunction:
+        """The pinned data as a HeightFunction."""
+        vs = self.region.vertex_list
+        domain = tuple(map(vs.__getitem__, self.positions))
+        return HeightFunction._trusted(domain, tuple(self.values))
+
+    @cached_property
+    def window(self) -> tuple[int, int]:
+        """Edge indices lo..hi-1 felt by heights between the envelopes,
+        lo = min(low) and hi = max(high)."""
+        lo, hi = int(self.low.min()), int(self.high.max())
+        # hi == lo: a single isolated value, and no edge can occur in a region
+        return (lo, max(lo, hi - 1))
+
+    def violation(self) -> tuple[Vertex, Vertex, int, int] | None:
+        """The first pinned pair (x, y, gap, distance) in sorted (x, y)
+        order with a gap over d_R(x, y), or None.
+
+        x is in such a pair exactly when its value leaves its envelopes
+        (high(x) < h(x) when some y lies too far below, low(x) > h(x) when
+        some y lies too far above), and one single-source
+        ``lattice._distances`` pass from x names y.
+        """
+        at, zs = self.positions, self.values
+        outside = np.flatnonzero((self.high[at] < zs) | (self.low[at] > zs))
+        vs = self.region.vertex_list
+        for k in outside.tolist():
+            dist = _distances(self.region, [at[k]], [0]).tolist()
+            for j, zy in zip(at, zs):
+                gap = abs(zs[k] - zy)
+                if gap > dist[j]:
+                    return (vs[at[k]], vs[j], gap, dist[j])
+        return None
+
+    def check(self) -> _Boundary:
+        """``self`` if the data has an extension, else NoExtensionError
+        with the witness of ``violation``."""
+        if (self.low > self.high).any():
+            witness = self.violation()
+            if witness is None:  # unreachable given low > high somewhere
+                raise AssertionError(
+                    "inconsistent envelope without metric witness"
+                )
+            raise NoExtensionError(*witness)
+        return self
 
 
 def kirszbraun_violation(
@@ -352,54 +383,12 @@ def kirszbraun_violation(
     elsewhere), plus one single-source pass from x when the data is not
     extendable.
     """
-    at, zs = _pinned_map(region, pinned)
-    return _first_violation(region, at, zs, *_envelopes(region, at, zs))
+    return _boundary(region, pinned).violation()
 
 
 def kirszbraun_extendable(region: Region, pinned: Mapping[Vertex, int]) -> bool:
     """Extension exists iff pinned gaps never exceed graph distance."""
     return kirszbraun_violation(region, pinned) is None
-
-
-# The package's one form of boundary data: the pinned positions in
-# ascending order, and the minimal and maximal extensions as int64 arrays
-# aligned with ``region.vertex_list`` (pinned sites hold the pinned values).
-_Envelopes = tuple[list[int], np.ndarray, np.ndarray]
-
-
-def _pinned_envelopes(region: Region, pinned: Mapping[Vertex, int]) -> _Envelopes:
-    """(pinned positions, low, high) for extendable pinned data.
-
-    low and high are the envelopes of ``_envelopes``, the minimal and
-    maximal extensions.  Raises NoExtensionError when none exists.
-    """
-    at, zs = _pinned_map(region, pinned)
-    low, high = _envelopes(region, at, zs)
-    _check_extendable(region, at, zs, low, high)
-    return at, low, high
-
-
-def _check_extendable(region: Region, at, zs, low, high) -> None:
-    """Raise NoExtensionError, with ``_first_violation``'s witness, if low > high."""
-    if (low > high).any():
-        witness = _first_violation(region, at, zs, low, high)
-        if witness is None:  # unreachable given low > high somewhere
-            raise AssertionError("inconsistent envelope without metric witness")
-        raise NoExtensionError(*witness)
-
-
-def _check_nonempty(support: ExtensionSet) -> None:
-    """Raise NoExtensionError, with its witness, if ``support`` is empty."""
-    at, low, high = support._boundary
-    _check_extendable(support.region, at, support.pinned.heights, low, high)
-
-
-def _envelope_window(envelopes: _Envelopes) -> tuple[int, int]:
-    """Edge indices lo..hi-1 felt by heights between the minimal and
-    maximal extensions, lo = min(low) and hi = max(high)."""
-    lo, hi = int(envelopes[1].min()), int(envelopes[2].max())
-    # hi == lo: a single isolated value, and no edge can occur in a region
-    return (lo, max(lo, hi - 1))
 
 
 def min_max_extensions(
@@ -411,11 +400,11 @@ def min_max_extensions(
     both are themselves height functions on the region and every extension
     lies between them pointwise.  Raises NoExtensionError when none exists.
     """
-    _, low, high = _pinned_envelopes(region, pinned)
+    b = _boundary(region, pinned).check()
     vs = region.vertex_list
     return (
-        HeightFunction._trusted(vs, tuple(low.tolist())),
-        HeightFunction._trusted(vs, tuple(high.tolist())),
+        HeightFunction._trusted(vs, tuple(b.low.tolist())),
+        HeightFunction._trusted(vs, tuple(b.high.tolist())),
     )
 
 
@@ -423,8 +412,8 @@ def height_window(
     region: Region, pinned: Mapping[Vertex, int]
 ) -> tuple[int, int]:
     """Smallest interval [lo, hi] containing every extension's values."""
-    _, low, high = _pinned_envelopes(region, pinned)
-    return (int(low.min()), int(high.max()))
+    b = _boundary(region, pinned).check()
+    return (int(b.low.min()), int(b.high.max()))
 
 
 def _heights(offsets: np.ndarray, base: int) -> np.ndarray:
@@ -498,15 +487,22 @@ class ExtensionSet:
     ``members_array`` is the int64 height array (read-only, built once);
     ``members`` is a lazy ``MemberView`` that builds a new HeightFunction
     on each access, so code that needs only heights should read rows.
-    ``_boundary`` is ``pinned``'s boundary triple (positions, low, high),
-    which the exact layer reads; low > high somewhere if the set is empty.
+    ``_boundary`` is the ``_Boundary`` of the pinned data, which the
+    exact layer reads; ``region`` and ``pinned`` are read from it.  Its
+    envelopes cross (low > high somewhere) if the set is empty.
     """
 
-    region: Region
-    pinned: HeightFunction
+    _boundary: _Boundary
     offsets: np.ndarray = field(repr=False)
     base: int = 0
-    _boundary: _Envelopes | None = field(default=None, repr=False, kw_only=True)
+
+    @property
+    def region(self) -> Region:
+        return self._boundary.region
+
+    @property
+    def pinned(self) -> HeightFunction:
+        return self._boundary.pinned
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -567,15 +563,11 @@ def enumerate_extensions(
     are held as offsets from the lowest envelope value, in the narrowest
     integer type that holds the window.
     """
-    at, zs = _pinned_map(region, pinned)
-    vs = region.vertex_list
-    pinned_f = HeightFunction._trusted(tuple(map(vs.__getitem__, at)), tuple(zs))
-    n = len(vs)
-    env_low, env_high = _envelopes(region, at, zs)
-    boundary = (at, env_low, env_high)
+    boundary = _boundary(region, pinned)
+    at, env_low, env_high = boundary.positions, boundary.low, boundary.high
+    n = len(region)
     if (env_low > env_high).any():  # exactly when a pinned gap is too wide
-        empty = np.empty((0, n), dtype=np.int8)
-        return ExtensionSet(region, pinned_f, empty, _boundary=boundary)
+        return ExtensionSet(boundary, np.empty((0, n), dtype=np.int8))
 
     base = int(env_low.min())
     low = (env_low - base).tolist()
@@ -585,7 +577,7 @@ def enumerate_extensions(
     dtype = np.min_scalar_type(-(max(high) + 3))
     fixed = set(at)
     partials = np.zeros((1, n), dtype=dtype)
-    partials[0, at] = [z - base for z in zs]
+    partials[0, at] = [z - base for z in boundary.values]
 
     nbrs = region._neighbor_positions
     for i in range(n):
@@ -609,7 +601,7 @@ def enumerate_extensions(
             partials[:, i] = np.tile(cand, len(partials) // len(cand))
 
     partials.flags.writeable = False
-    return ExtensionSet(region, pinned_f, partials, base, _boundary=boundary)
+    return ExtensionSet(boundary, partials, base)
 
 
 def _resolve_support(

@@ -26,11 +26,11 @@ transform: one forward and one backward running minimum per axis over
 the grid, in int64 (no search and no neighbour tuples).  Every other
 region, and smaller boxes, where the fixed numpy cost outweighs the
 search, run one offset breadth-first search with parent pointers
-(``_bfs``).  The search also serves the connectivity check,
-``distance_map`` and ``graph_distance``, and the boundary-to-interior
-walks of ``analysis``.  The connectivity check runs it only when a
-region does not fill its bounding box: a set that fills its box is
-connected.
+(``_bfs``).  ``distance_map`` and ``graph_distance`` take the same two
+paths from their one source.  The search also serves the connectivity
+check and the boundary-to-interior walks of ``analysis``.  The
+connectivity check runs it only when a region does not fill its
+bounding box: a set that fills its box is connected.
 """
 
 from __future__ import annotations
@@ -409,9 +409,9 @@ def _bfs(
 
 
 def distance_map(region: Region, source: Vertex) -> dict[Vertex, int]:
-    """Graph distances from ``source`` to every vertex of the region (BFS)."""
-    dist, _ = _bfs(region._neighbor_positions, [(0, region.position(source))])
-    return dict(zip(region.vertex_list, dist))
+    """Graph distances from ``source`` to every vertex of the region."""
+    dist = _distances(region, [region.position(source)], [0])
+    return dict(zip(region.vertex_list, dist.tolist()))
 
 
 def multi_source_distances(
@@ -502,8 +502,7 @@ def _box_distances(
 def graph_distance(region: Region, x: Vertex, y: Vertex) -> int:
     """Length of the shortest path from x to y within the region."""
     iy = region.position(y)
-    dist, _ = _bfs(region._neighbor_positions, [(0, region.position(x))])
-    return dist[iy]
+    return int(_distances(region, [region.position(x)], [0])[iy])
 
 
 def outer_extension(region: Region) -> Region:

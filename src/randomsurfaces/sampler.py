@@ -20,16 +20,16 @@ checkerboard-sweep engine on any region in any dimension that runs many
 chains in parallel (heights stored sites-major with the free sites of
 each parity in one contiguous block, so a half-sweep is one neighbour
 gather and one block write).  Its chains form groups, each given as
-one (boundary triple, generator, potentials) value: the group's
-boundary data as ``heights._pinned_envelopes`` returns it, the
-generator its uniforms come from, and one potential per chain.  On a
-bipartite graph same-parity sites have disjoint neighbourhoods, so a
-half-sweep is a composition of commuting single-site heat-bath
-kernels; ``transition_matrix`` is that kernel in exact form.  The
-decision "take the upper candidate iff u < P(upper)" is monotone in
-the heights, so two chains fed the same uniforms keep a pointwise order
-forever: ``coupled_run`` sweeps such a pair as one engine with two
-single-chain groups, one per boundary datum.
+one (boundary, generator, potentials) value: the group's boundary data
+as a ``heights._Boundary`` record, the generator its uniforms come
+from, and one potential per chain.  On a bipartite graph same-parity
+sites have disjoint neighbourhoods, so a half-sweep is a composition
+of commuting single-site heat-bath kernels; ``transition_matrix`` is
+that kernel in exact form.  The decision "take the upper candidate iff
+u < P(upper)" is monotone in the heights, so two chains fed the same
+uniforms keep a pointwise order forever: ``coupled_run`` sweeps such a
+pair as one engine with two single-chain groups, one per boundary
+datum.
 """
 
 from __future__ import annotations
@@ -42,12 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .gibbs import QuenchedMeasure
-from .heights import (
-    HeightFunction,
-    _Envelopes,
-    _envelope_window,
-    _pinned_envelopes,
-)
+from .heights import HeightFunction, _Boundary, _boundary
 from .lattice import Region, Vertex
 from .potential import Potential
 
@@ -137,13 +132,13 @@ def coupled_run(
     rule.
     """
     steps = _count(steps, "steps")
-    env_low = _pinned_envelopes(region, pinned_low)
-    env_high = _pinned_envelopes(region, pinned_high)
-    if env_low[0] != env_high[0]:
+    lower = _boundary(region, pinned_low).check()
+    upper = _boundary(region, pinned_high).check()
+    if lower.positions != upper.positions:
         raise ValueError("coupled chains need a common pinned vertex set")
-    if (env_low[1] > env_high[1])[env_low[0]].any():  # the pinned values
+    if any(map(operator.gt, lower.values, upper.values)):
         raise ValueError("boundary data must be ordered low <= high")
-    groups = [(env_low, rng, [p]), (env_high, copy.deepcopy(rng), [p])]
+    groups = [(lower, rng, [p]), (upper, copy.deepcopy(rng), [p])]
     eng = BoxGlauber(region, _groups=groups)
     free = int((~eng.pinned_mask).sum())
     sweeps = -(-steps // free) if free else 0
@@ -202,7 +197,7 @@ def transition_matrix(mu: QuenchedMeasure) -> np.ndarray:
     """
     support = mu.support
     region = support.region
-    free = np.setdiff1d(np.arange(len(region)), support._boundary[0])
+    free = np.setdiff1d(np.arange(len(region)), support._boundary.positions)
     if not free.size:
         return np.eye(len(support))
     h = support.members_array
@@ -273,18 +268,18 @@ class BoxGlauber:
 
     The chains form consecutive groups, each under its own boundary data
     and generator.  ``_groups``, for callers inside the package, is a
-    sequence of (boundary triple, generator, potentials) values, and
-    replaces ``pinned``, ``potentials`` and ``rng``, which are then left
-    out; without it all chains form one group: the triple of ``pinned``,
-    ``rng`` and ``potentials``.  A boundary triple is what
-    ``heights._pinned_envelopes`` returns: the pinned positions in
-    ascending order, and the minimal and maximal extensions as int64
-    arrays aligned with ``region.vertex_list``.  All triples pin one
-    vertex set, and the pinned sites are the first triple's positions.  A
-    group's chain count is the length of its potentials list.  Chains
-    never interact: each group starts from, and is reach-checked against,
-    its own envelopes, its pinned sites keep their values, and group g
-    fills its rows of the uniform block with
+    sequence of (boundary, generator, potentials) values, and replaces
+    ``pinned``, ``potentials`` and ``rng``, which are then left out;
+    without it all chains form one group: the ``heights._Boundary`` of
+    ``pinned``, ``rng`` and ``potentials``.  A group reads its record's
+    ``positions``, its envelopes ``low`` and ``high`` (the minimal and
+    maximal extensions, int64 arrays aligned with ``region.vertex_list``)
+    and its ``window``.  All records pin one vertex set, and the pinned
+    sites are the first record's positions.  A group's chain count is
+    the length of its potentials list.  Chains never interact: each
+    group starts from, and is reach-checked against, its own envelopes,
+    its pinned sites keep their values, and group g fills its rows of
+    the uniform block with
     ``generator_g.random((count_g, sites))``, in group order.  So each
     group's chains and generator pass through exactly the states of a
     separate engine that holds that group alone, and
@@ -322,11 +317,11 @@ class BoxGlauber:
         start: str = "low",
         *,
         _groups: Sequence[
-            tuple[_Envelopes, np.random.Generator, Sequence[Potential]]
+            tuple[_Boundary, np.random.Generator, Sequence[Potential]]
         ] | None = None,
     ):
         if _groups is None:
-            _groups = [(_pinned_envelopes(region, pinned), rng, potentials)]
+            _groups = [(_boundary(region, pinned).check(), rng, potentials)]
         potentials = [p for _, _, group in _groups for p in group]
         if not potentials:
             raise ValueError("need at least one potential")
@@ -345,7 +340,7 @@ class BoxGlauber:
                 raise ValueError("each group needs >= 1 potentials, got none")
         # (generator, chain count) per group, as half-sweeps draw
         self._groups = tuple((g, len(group)) for _, g, group in _groups)
-        envelopes = [env for env, _, _ in _groups]
+        boundaries = [b for b, _, _ in _groups]
 
         coords = region._coords
         lows, highs = region._bounds
@@ -355,7 +350,7 @@ class BoxGlauber:
         self.low = tuple(lows)
         self.shape = sides if region.is_box() else (len(region),)
         pinned_flat = np.zeros(len(region), dtype=bool)
-        pinned_flat[envelopes[0][0]] = True
+        pinned_flat[boundaries[0].positions] = True
         self.pinned_mask = pinned_flat.reshape(self.shape)
 
         parity = coords.sum(axis=1) % 2
@@ -372,14 +367,14 @@ class BoxGlauber:
         )
         neighbours = [_neighbor_slots(region, sites) for sites in blocks]
         inits = []
-        for env in envelopes:
+        for b in boundaries:
             # the window must cover every edge minimum between the envelopes
-            lo, hi = _envelope_window(env)
+            lo, hi = b.window
             if not potentials[0].covers(lo, hi):
                 raise ValueError(
                     f"potential window {win} does not cover required [{lo}, {hi}]"
                 )
-            _, low, high = env
+            low, high = b.low, b.high
             if start == "low":
                 init = low
             else:

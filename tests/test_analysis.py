@@ -331,20 +331,20 @@ class TestDominanceSweep:
 
 
 def count_boundary_reads(monkeypatch):
-    """Count pinned-data validations and distance passes, through every
-    module that calls them."""
-    calls = {"pinned_map": 0, "distances": 0}
-    pinned_map, distances = heights._pinned_map, lattice._distances
+    """Count pinned-data validations (boundary records built) and distance
+    passes, through every module that calls them."""
+    calls = {"boundary": 0, "distances": 0}
+    build, distances = heights._boundary, lattice._distances
 
-    def counting_map(region, pinned):
-        calls["pinned_map"] += 1
-        return pinned_map(region, pinned)
+    def counting_build(region, pinned):
+        calls["boundary"] += 1
+        return build(region, pinned)
 
     def counting_distances(region, at, zs):
         calls["distances"] += 1
         return distances(region, at, zs)
 
-    monkeypatch.setattr(heights, "_pinned_map", counting_map)
+    monkeypatch.setattr(heights, "_boundary", counting_build)
     for mod in (analysis, heights, lattice):
         monkeypatch.setattr(mod, "_distances", counting_distances)
     return calls
@@ -352,14 +352,14 @@ def count_boundary_reads(monkeypatch):
 
 class TestBoundaryReadOnce:
     """Exact consumers read the pinned positions, the potential window
-    and the infeasibility witness from the triple each ExtensionSet keeps,
+    and the infeasibility witness from the record each ExtensionSet keeps,
     and validate no pinned data a second time."""
 
     def test_annealing_an_enumerated_set(self, monkeypatch):
         calls = count_boundary_reads(monkeypatch)
         support = enumerate_extensions(BOX3, RING3)
         annealed_member_probabilities(support, PotentialModel("twopoint", 1.0, 1))
-        assert calls == {"pinned_map": 1, "distances": 2}
+        assert calls == {"boundary": 1, "distances": 2}
 
     def test_dominance_sweep(self, monkeypatch):
         calls = count_boundary_reads(monkeypatch)
@@ -369,7 +369,7 @@ class TestBoundaryReadOnce:
             BOX3, pairs, PotentialModel("uniform", 1.0, 5), draws=2
         )
         assert sweep.checks == 6
-        assert calls["pinned_map"] == 2 * len(pairs)
+        assert calls["boundary"] == 2 * len(pairs)
 
 
 class TestTwoPointComparison:
@@ -1027,6 +1027,9 @@ class TestBoundaryDataAndConfig:
             ("ns", (9, -3)),
             ("ns", (9, 2.5)),
             ("ns", ("9",)),
+            ("tail_samples", 2.5),
+            ("mean_draws", 3.0),
+            ("mean_samples_per_draw", "2"),
         ],
     )
     def test_experiment_rejects_bad_counts(self, key, value):
@@ -1039,6 +1042,9 @@ class TestBoundaryDataAndConfig:
             ("seeds", 0),
             ("mean_draws", 0),
             ("mean_samples_per_draw", 0),
+            ("seeds", 2.5),
+            ("mean_draws", 3.0),
+            ("mean_samples_per_draw", 1.5),
             ("burn_factor", float("nan")),
             ("thin_factor", -0.02),
             ("thin_factor", float("inf")),
@@ -1088,18 +1094,18 @@ class TestBoundaryDataAndConfig:
 
 
 def count_envelopes(monkeypatch):
-    """Count calls of the private envelope function through every module
-    that uses it."""
+    """Count boundary records (each computes the envelopes) built through
+    every module that builds them."""
     calls = []
-    envelopes = heights._pinned_envelopes
+    build = heights._boundary
 
     def counting(region, pinned):
         calls.append(len(region))
-        return envelopes(region, pinned)
+        return build(region, pinned)
 
     for mod in (analysis, gibbs, heights, sampler):
-        if hasattr(mod, "_pinned_envelopes"):
-            monkeypatch.setattr(mod, "_pinned_envelopes", counting)
+        if hasattr(mod, "_boundary"):
+            monkeypatch.setattr(mod, "_boundary", counting)
     return calls
 
 
@@ -1168,14 +1174,14 @@ class TestEnvelopesStayArrays:
         assert sizes and len(region) not in sizes
 
 
-def two_engine_deviations(region, pinned, envelopes, config, seed_key):
+def two_engine_deviations(region, pinned, boundary, config, seed_key):
     """``_sampled_deviations`` as two engines, one burned after the other.
 
     The mean-field chains run on their own engine (generator seed
     ``seed_key + (1,)``) and sample the mean; then the tail chains get a
     fresh engine (seed ``seed_key + (2,)``) and their own burn.
     """
-    window = heights._envelope_window(envelopes)
+    window = boundary.window
     span = window[1] - window[0] + 2
     burn = max(50, int(round(config.burn_factor * span * span)))
     thin = max(1, int(round(config.thin_factor * span * span)))
@@ -1221,18 +1227,16 @@ class TestJointBurn:
     ):
         region = make_box((0, 0), (n - 1, n - 1))
         pinned = box_boundary_data(region, boundary, 1)
-        envelopes = heights._pinned_envelopes(region, pinned)
+        boundary = heights._boundary(region, pinned).check()
         tails, mean_draws, per_draw = counts
         config = ExperimentConfig(
             model=model, tail_samples=tails, mean_draws=mean_draws,
             mean_samples_per_draw=per_draw, burn_factor=0.5,
             thin_factor=0.05, start=start,
         )
-        devs, stderr = analysis._sampled_deviations(
-            region, envelopes, config, seed_key
-        )
+        devs, stderr = analysis._sampled_deviations(boundary, config, seed_key)
         want_devs, want_stderr = two_engine_deviations(
-            region, pinned, envelopes, config, seed_key
+            region, pinned, boundary, config, seed_key
         )
         assert devs.tolist() == want_devs.tolist()
         assert np.array_equal(stderr, want_stderr)

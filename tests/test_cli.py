@@ -420,6 +420,29 @@ class TestConcentration:
         assert out == "" and not out_file.exists()
 
     @pytest.mark.parametrize(
+        "line,key",
+        [
+            ("ns = 9, 2.5", "ns"),
+            ("tail_samples = many", "tail_samples"),
+            ("model = twopoint:a=x", "model"),
+            ("seed = 1.5", "seed"),
+        ],
+    )
+    def test_unparsed_value_names_its_key(self, tmp_path, capsys, line, key):
+        # the error used to be the bare parse failure, with no key
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("mode = mc\n" + line + "\n")
+        out_file = tmp_path / "r.csv"
+        code, out, err = run(
+            capsys, "concentration", "--config", str(cfg),
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert err.startswith(f"error: bad config value for {key}: ")
+        assert err.count("\n") == 1
+        assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize(
         "lines,key",
         [
             ("ns = 3\nmode = weird\n", "mode"),
@@ -797,14 +820,14 @@ class TestRecordedOutputs:
         from randomsurfaces import gibbs, heights, sampler
 
         calls = []
-        envelopes = heights._pinned_envelopes
+        build = heights._boundary
 
         def counting(region, pinned):
             calls.append(len(region))
-            return envelopes(region, pinned)
+            return build(region, pinned)
 
         for mod in (heights, gibbs, sampler):
-            monkeypatch.setattr(mod, "_pinned_envelopes", counting)
+            monkeypatch.setattr(mod, "_boundary", counting)
         code, _, _ = run(
             capsys, "surface", "--n", str(n), "--sweeps", sweeps,
             "--out", str(tmp_path / "s.grid"),

@@ -43,13 +43,21 @@ from randomsurfaces.heights import (
     validate,
     write_heights,
 )
-from randomsurfaces.heights import _check_nonempty, _pinned_envelopes, _pinned_map
+from randomsurfaces.gibbs import quenched_measure
+from randomsurfaces.heights import _boundary
+from randomsurfaces.potential import Potential
 from randomsurfaces.lattice import Region, boundary, make_box
 
 BOX3 = make_box((0, 0), (2, 2))
 RING3 = Region(v for v in BOX3 if v != (1, 1))
 PATH5 = make_box((0,), (4,))
 GAP_PIN = {(0, 1): 1, (2, 1): 5}  # feasible on the ring, not the box
+
+
+def pinned_map(region, pinned):
+    """The checked pinned data as (positions, values), from its record."""
+    b = _boundary(region, pinned)
+    return b.positions, b.values
 
 
 def brute_force_extensions(region, pinned):
@@ -253,10 +261,10 @@ class TestPinnedValidation:
                 want = ([i for i, _ in want], [z for _, z in want])
                 for given in (data, HeightFunction.from_dict(data)):
                     if valid:
-                        assert _pinned_map(region, given) == want
+                        assert pinned_map(region, given) == want
                     else:
                         with pytest.raises(ValueError) as err:
-                            _pinned_map(region, given)
+                            pinned_map(region, given)
                         assert str(err.value) == (
                             "pinned data is not a valid height function"
                         )
@@ -310,10 +318,15 @@ class TestPinnedValidation:
         ):
             assert not is_parity_homomorphism(data)
             with pytest.raises(ValueError, match="not a valid height function"):
-                _pinned_map(path, data)
+                pinned_map(path, data)
         top = {(0,): 2**63 - 2, (1,): 2**63 - 1}
         assert is_parity_homomorphism(top)
-        assert _pinned_map(path, top) == ([0, 1], [2**63 - 2, 2**63 - 1])
+        # valid data; on the path 0..1 both envelopes fit, while on 0..2
+        # the high one would reach 2**63 at (2,)
+        pair = make_box((0,), (1,))
+        assert pinned_map(pair, top) == ([0, 1], [2**63 - 2, 2**63 - 1])
+        with pytest.raises(ValueError, match="envelopes outside the int64"):
+            _boundary(path, top)
 
     @pytest.mark.parametrize("z", [0.9, 2.0, np.float64(2.0)])
     def test_non_integer_values_are_rejected(self, z):
@@ -322,10 +335,10 @@ class TestPinnedValidation:
         match = r"height at vertex \(0,\) must be an integer"
         for data in ({(0,): z, (2,): 2}, {(np.int64(0),): z, (2,): 2}):
             with pytest.raises(ValueError, match=match):
-                _pinned_map(path, data)
+                pinned_map(path, data)
             with pytest.raises(ValueError, match=match):
                 min_max_extensions(path, data)
-        assert _pinned_map(path, {(0,): np.int16(0), (2,): 2}) == ([0, 2], [0, 2])
+        assert pinned_map(path, {(0,): np.int16(0), (2,): 2}) == ([0, 2], [0, 2])
 
     def test_values_outside_int64_are_rejected(self):
         with pytest.raises(ValueError, match="int64"):
@@ -360,7 +373,7 @@ class TestPinnedValidation:
             [[0, 0], (2, 2), (1, 2)],
         ):
             pins = dict(zip(map(tuple, keys), want.values()))
-            got = _pinned_map(BOX3, pins)
+            got = pinned_map(BOX3, pins)
             assert got == ([0, 5, 8], [0, 1, 0])
             assert {type(x) for part in got for x in part} == {int}
 
@@ -378,7 +391,7 @@ class TestPinnedValidation:
     )
     def test_error_texts(self, pins, message):
         with pytest.raises(ValueError) as err:
-            _pinned_map(BOX3, pins)
+            pinned_map(BOX3, pins)
         assert str(err.value).startswith(message)
 
 
@@ -795,26 +808,27 @@ class TestArrayBackedExtensionSet:
 
 
 class TestStoredBoundary:
-    """Each ExtensionSet keeps the boundary triple it was enumerated from."""
+    """Each ExtensionSet keeps the boundary record it was enumerated from."""
 
     def test_triple_and_pinned_data_on_random_instances(self, metric_instances):
         empty = 0
         for region, pins, _ in metric_instances:
             support = enumerate_extensions(region, pins)
-            at, low, high = support._boundary
-            assert at == _pinned_map(region, pins)[0]
+            b = support._boundary
+            at, low, high = b.positions, b.low, b.high
+            assert at == pinned_map(region, pins)[0]
             assert support.pinned == HeightFunction.from_dict(pins)
             assert support.pinned.domain == tuple(region.vertex_list[i] for i in at)
             if len(support):
-                want = _pinned_envelopes(region, pins)
-                assert at == want[0]
-                assert np.array_equal(low, want[1]) and np.array_equal(high, want[2])
-                _check_nonempty(support)  # no error
+                want = _boundary(region, pins).check()
+                assert at == want.positions
+                assert np.array_equal(low, want.low) and np.array_equal(high, want.high)
+                assert b.check() is b  # no error
             else:
                 empty += 1
                 assert (low > high).any()
                 with pytest.raises(NoExtensionError) as err:
-                    _check_nonempty(support)
+                    b.check()
                 e = err.value
                 assert (e.x, e.y, e.gap, e.distance) == kirszbraun_violation(
                     region, pins
@@ -823,15 +837,40 @@ class TestStoredBoundary:
 
     def test_pickle_round_trip(self):
         # the region inside is rebuilt from its coordinates; an empty set
-        # (a gap of 4 over distance 2) keeps its triple too
+        # (a gap of 4 over distance 2) keeps its record too
         for pins in ({(0,): 0, (4,): 0}, {(0,): 0, (2,): 4}):
             support = enumerate_extensions(PATH5, pins)
             twin = pickle.loads(pickle.dumps(support))
             assert twin.region == PATH5 and twin.pinned == support.pinned
             assert np.array_equal(twin.members_array, support.members_array)
-            (at, low, high), (at2, low2, high2) = twin._boundary, support._boundary
-            assert at == at2
-            assert np.array_equal(low, low2) and np.array_equal(high, high2)
+            b, b2 = twin._boundary, support._boundary
+            assert b.positions == b2.positions
+            assert np.array_equal(b.low, b2.low) and np.array_equal(b.high, b2.high)
+
+    def test_pickled_set_gives_the_same_measure_and_witness(self):
+        # the 3x3 parity ring, and the gap that the box cannot extend;
+        # the record's cached pinned data and window are filled first
+        ring = parity_height(BOX3).restrict(boundary(BOX3))
+        support = enumerate_extensions(BOX3, ring)
+        empty = enumerate_extensions(BOX3, GAP_PIN)
+        for s in (support, empty):
+            assert s.pinned and s._boundary.window
+        twin, twin_empty = pickle.loads(pickle.dumps([support, empty]))
+        lo, hi = support._boundary.window
+        values = np.random.default_rng(3).normal(size=hi - lo + 1)
+        p = Potential(lo, hi, values)
+        mu = quenched_measure(BOX3, ring, p, support)
+        mu2 = quenched_measure(BOX3, ring, p, twin)
+        assert mu.log_weights.tobytes() == mu2.log_weights.tobytes()
+        assert mu.log_z == mu2.log_z
+        witnesses = []
+        for s in (empty, twin_empty):
+            with pytest.raises(NoExtensionError) as err:
+                quenched_measure(BOX3, GAP_PIN, p, s)
+            e = err.value
+            witnesses.append((e.x, e.y, e.gap, e.distance, str(e)))
+        assert witnesses[0] == witnesses[1]
+        assert witnesses[0][:4] == ((0, 1), (2, 1), 4, 2)
 
 
 class TestStructuralInvariants:

@@ -521,6 +521,31 @@ class TestDistances:
         multi_source_distances(large, {(0, 0): 0})
         assert calls == [len(small)]
 
+    def test_single_source_queries_take_the_closed_form(self, monkeypatch):
+        # distance_map and graph_distance ran their own search on every
+        # region; on a large box they now read the l1 closed form
+        box = make_box((-3, 2), (17, 21))
+        assert len(box) >= lattice._CLOSED_FORM_MIN
+        vs = box.vertex_list
+        count_bfs(monkeypatch, fail=True)
+        for x in (vs[0], (5, 9), vs[-1]):
+            dm = distance_map(box, x)
+            assert list(dm) == list(vs)
+            assert list(dm.values()) == [
+                abs(v[0] - x[0]) + abs(v[1] - x[1]) for v in vs
+            ]
+            assert {type(d) for d in dm.values()} == {int}
+            for y in ((2, 2), (17, 21), (-3, 14)):
+                d = graph_distance(box, x, y)
+                assert type(d) is int and d == dm[y]
+        for call in (
+            lambda: distance_map(box, (18, 2)),
+            lambda: graph_distance(box, (18, 2), (0, 2)),
+            lambda: graph_distance(box, (0, 2), (18, 2)),
+        ):
+            with pytest.raises(KeyError):
+                call()
+
     def test_closed_form_at_the_ends_of_int64(self):
         box = make_box((0, 0), (19, 19))  # l1 diameter 38
         far = {(0, 0): INT64_MIN, (19, 19): INT64_MAX, (3, 4): 10**30}

@@ -16,6 +16,7 @@ from the same random stream.
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from randomsurfaces import sampler
 from randomsurfaces.gibbs import quenched_measure, required_window
 from randomsurfaces.heights import (
     NoExtensionError,
-    _pinned_envelopes,
+    _boundary,
     enumerate_extensions,
     extremal_boundary,
     kirszbraun_extendable,
@@ -800,7 +801,7 @@ def two_groups(region, pinned, kind, start, sizes=(3, 5)):
         for g, c in enumerate(sizes)
     ]
     gens = [np.random.default_rng([31, g]) for g in range(2)]
-    env = _pinned_envelopes(region, pinned)
+    env = _boundary(region, pinned).check()
     joint = BoxGlauber(
         region, start=start, _groups=[(env, g, p) for g, p in zip(gens, pots)]
     )
@@ -983,7 +984,7 @@ class TestChainGroups:
     )
     def test_rejects_bad_groups(self, groups, match):
         pots = group_potentials(L_SHAPE, L_PINS, "uniform", 0, 4)
-        env = _pinned_envelopes(L_SHAPE, L_PINS)
+        env = _boundary(L_SHAPE, L_PINS).check()
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match=match):
             BoxGlauber(L_SHAPE, _groups=groups(env, rng, pots))
@@ -1022,28 +1023,25 @@ class TestTableReach:
         # one to 0 narrows the window to [-2, 0], but the middle site's
         # neighbours sit between -1 and 1
         pinned = {(0,): 0, (4,): 0}
-        at, low, high = _pinned_envelopes(PATH5, pinned)
-        fake = np.array([0, 1, 0, 1, 0])
+        b = _boundary(PATH5, pinned).check()
+        fake = replace(b, high=np.array([0, 1, 0, 1, 0]))
         p = Potential(-2, 0, np.zeros(3))
         with pytest.raises(ValueError, match=r"reach \[-1, 1\]"):
-            BoxGlauber(PATH5, _groups=[
-                ((at, low, fake), np.random.default_rng(0), [p])
-            ])
+            BoxGlauber(PATH5, _groups=[(fake, np.random.default_rng(0), [p])])
         BoxGlauber(PATH5, _groups=[
-            ((at, low, high), np.random.default_rng(0),
-             [Potential(-2, 1, np.zeros(4))])
+            (b, np.random.default_rng(0), [Potential(-2, 1, np.zeros(4))])
         ])
 
     def test_each_group_is_checked_against_its_own_envelopes(self):
         # (low, low) fits the window [-2, 0]; the second group's pair is
         # the one above whose reach leaves it
         pinned = {(0,): 0, (4,): 0}
-        at, low, _ = _pinned_envelopes(PATH5, pinned)
-        fake = np.array([0, 1, 0, 1, 0])
+        b = _boundary(PATH5, pinned).check()
+        fake = replace(b, high=np.array([0, 1, 0, 1, 0]))
         p = Potential(-2, 0, np.zeros(3))
-        fits = ((at, low, low), np.random.default_rng(0), [p])
+        fits = (replace(b, high=b.low), np.random.default_rng(0), [p])
         BoxGlauber(PATH5, _groups=[fits])
         with pytest.raises(ValueError, match=r"reach \[-1, 1\]"):
             BoxGlauber(PATH5, _groups=[
-                fits, ((at, low, fake), np.random.default_rng(0), [p])
+                fits, (fake, np.random.default_rng(0), [p])
             ])
